@@ -3,7 +3,7 @@
 // everything to one JSON file, so CI (and later sessions) can diff perf
 // numbers instead of eyeballing table output.
 //
-// Output: BENCH_pr3.json in the working directory (override with
+// Output: BENCH_pr5.json in the working directory (override with
 // PDC_BENCH_JSON=<path>).  Two time columns per row:
 //   sim_s   deterministic simulated seconds from the cost model — the
 //           number the paper-shape claims are made about;

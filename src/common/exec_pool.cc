@@ -51,17 +51,21 @@ void ThreadPool::submit(Task task, const void* tag) {
     target = static_cast<std::uint32_t>(
         submitted_.load(std::memory_order_relaxed) % workers_.size());
   }
-  {
-    std::lock_guard lock(workers_[target]->mu);
-    workers_[target]->deque.push_front(Entry{std::move(task), tag});
-  }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  // Count the task before it can be popped: a worker may take it as soon
+  // as the deque lock drops, and its decrement must never run first (the
+  // counter would wrap below zero and the peak read ~2^64).  The deque
+  // mutex orders this increment before that decrement.
   const std::uint64_t depth = queued_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::uint64_t peak = queue_peak_.load(std::memory_order_relaxed);
   while (depth > peak &&
          !queue_peak_.compare_exchange_weak(peak, depth,
                                             std::memory_order_relaxed)) {
   }
+  {
+    std::lock_guard lock(workers_[target]->mu);
+    workers_[target]->deque.push_front(Entry{std::move(task), tag});
+  }
+  submitted_.fetch_add(1, std::memory_order_relaxed);
   {
     // Pairing the notify with the sleep mutex closes the lost-wakeup
     // window between a worker's empty scan and its cv wait.

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "common/log.h"
-#include "common/timer.h"
+#include "query/dispatch.h"
 #include "server/region_assignment.h"
 
 namespace pdc::query {
@@ -239,11 +240,6 @@ QueryService::~QueryService() {
   bus_.shutdown();
 }
 
-void QueryService::publish_stats(const OpStats& stats) {
-  std::lock_guard lock(state_mu_);
-  stats_ = stats;
-}
-
 std::vector<bool> QueryService::dead_snapshot() const {
   std::lock_guard lock(state_mu_);
   return dead_;
@@ -254,22 +250,17 @@ void QueryService::mark_dead(ServerId server) {
   dead_[server] = true;
 }
 
-std::vector<ServerId> QueryService::alive_servers() const {
-  const std::vector<bool> dead = dead_snapshot();
-  std::vector<ServerId> alive;
-  for (ServerId s = 0; s < options_.num_servers; ++s) {
-    if (!dead[s]) alive.push_back(s);
+std::vector<ServerId> QueryService::servers_where(const std::vector<bool>& dead,
+                                                 bool want_dead) {
+  std::vector<ServerId> servers;
+  for (ServerId s = 0; s < dead.size(); ++s) {
+    if (dead[s] == want_dead) servers.push_back(s);
   }
-  return alive;
+  return servers;
 }
 
 std::vector<ServerId> QueryService::dead_servers() const {
-  const std::vector<bool> dead_flags = dead_snapshot();
-  std::vector<ServerId> dead;
-  for (ServerId s = 0; s < options_.num_servers; ++s) {
-    if (dead_flags[s]) dead.push_back(s);
-  }
-  return dead;
+  return servers_where(dead_snapshot(), true);
 }
 
 std::uint64_t QueryService::regions_of_identity(
@@ -286,58 +277,24 @@ std::uint64_t QueryService::regions_of_identity(
   return regions;
 }
 
-void QueryService::publish_trace(obs::Tracer& tracer, bool traced) {
-  if (!traced) return;
-  auto trace = std::make_shared<obs::Trace>(tracer.take());
-  std::lock_guard lock(state_mu_);
-  last_trace_ = std::move(trace);
-}
-
 Result<Selection> QueryService::eval(const QueryPtr& query,
                                      bool need_locations,
                                      const QueryOptions& opts) {
   if (!query) {
     return Status::InvalidArgument("null query");
   }
-  WallTimer wall;
-  // One tracer per traced operation; its spans (plus the server spans
-  // adopted from response baggage) become last_trace() when we finish.
-  obs::Tracer tracer(opts.trace ? obs::next_id() : 0);
-  const obs::TraceContext root =
-      opts.trace ? obs::TraceContext{&tracer, tracer.trace_id(), 0}
-                 : obs::TraceContext{};
-  obs::ScopedSpan query_span(root, "client.query", "client");
-  // Per-operation stats stay local until the operation finishes, so
-  // concurrent queries never scribble over each other's counters; the
-  // publisher stores the finished snapshot for last_stats().
-  OpStats stats;
-  struct Publisher {
-    QueryService* service;
-    OpStats* stats;
-    WallTimer* wall;
-    ~Publisher() {
-      stats->wall_seconds = wall->elapsed_seconds();
-      if (service->pool_ != nullptr) {
-        stats->pool_threads = service->pool_->size();
-        stats->pool_queue_peak = service->pool_->stats().queue_peak;
-      }
-      service->publish_stats(*stats);
-    }
-  } publisher{this, &stats, &wall};
-  const CostModel& cost = store_.cluster().config().cost;
+  OpScope op(*this, opts, "client.query");
 
   PlanOptions plan_options;
   plan_options.strategy = options_.strategy;
   plan_options.order_by_selectivity = options_.order_by_selectivity;
-  obs::ScopedSpan plan_span(query_span.context(), "client.plan", "client");
+  obs::ScopedSpan plan_span(op.trace(), "client.plan", "client");
   PDC_ASSIGN_OR_RETURN(Plan plan, plan_query(*query, store_, plan_options));
   plan_span.arg("terms", static_cast<double>(plan.terms.size()));
   plan_span.close();
 
   Selection selection;
   if (plan.terms.empty()) {
-    query_span.close();
-    publish_trace(tracer, opts.trace);
     return selection;  // provably empty
   }
 
@@ -353,152 +310,83 @@ Result<Selection> QueryService::eval(const QueryPtr& query,
   request.region_constraint = plan.region_constraint;
   request.terms = std::move(plan.terms);
 
-  // Degraded-mode dispatch loop.  Each alive server evaluates its own
-  // identity plus any previously-dead identities re-planned onto it.  When
-  // a server exhausts its retries it is marked dead and the identities it
-  // was covering are re-dispatched to the survivors — so the final answer
-  // is exactly the fault-free one, only slower.  Only when every server is
-  // dead does the call surface kUnavailable.
-  std::vector<ServerId> alive = alive_servers();
-  if (alive.empty()) {
-    return Status::Unavailable("all PDC servers are dead");
-  }
-  std::vector<std::pair<ServerId, std::vector<ServerId>>> work;
-  {
-    const auto extra =
-        server::plan_reassignment(dead_servers(), alive);
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      std::vector<ServerId> identities{alive[i]};
-      for (const ServerId dead_identity : extra[i]) {
-        identities.push_back(dead_identity);
-        stats.redispatched_regions +=
-            regions_of_identity(request.terms, dead_identity);
-      }
-      work.emplace_back(alive[i], std::move(identities));
-    }
-  }
-
-  while (!work.empty()) {
-    std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests;
-    requests.reserve(work.size());
-    double max_request_net = 0.0;
-    for (const auto& [target, identities] : work) {
-      request.act_as = identities;
-      std::vector<std::uint8_t> payload = request.serialize();
-      stats.request_bytes += payload.size();
-      // Requests travel in parallel over the interconnect: max, not sum.
-      max_request_net = std::max(max_request_net,
-                                 cost.net_cost(payload.size()));
-      requests.emplace_back(target, std::move(payload));
-    }
-    stats.net_seconds += max_request_net;
-
-    const rpc::GatherResult gathered =
-        client_.gather(requests, query_span.context(), opts.tenant);
-    stats.retries += gathered.stats.retries;
-    stats.timeouts += gathered.stats.timeouts;
-    stats.sheds += gathered.stats.sheds;
-    if (gathered.bus_closed) {
-      return Status::Unavailable("message bus shut down mid-query");
-    }
-
-    // Per-ROUND critical server.  Degraded rounds run sequentially (round
-    // N+1 is dispatched only after round N's responses are in), so the
-    // modeled server time is the SUM of per-round maxima — taking one
-    // global max would credit redispatched work as free.
-    bool round_has_response = false;
-    server::LedgerSummary round_critical;
-    std::vector<ServerId> orphaned;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      const auto& message = gathered.responses[i];
-      if (!message.has_value()) {
-        if (gathered.shed[i]) {
-          // The server explicitly shed this request: it is overloaded, not
-          // dead.  Declaring it dead would trigger a redispatch storm onto
-          // the survivors — exactly the wrong move under overload — so the
-          // whole operation fails fast and the caller retries later.
-          return Status::Overloaded(
-              "server " + std::to_string(work[i].first) +
-              " shed the request; retry later");
-        }
-        mark_dead(work[i].first);
-        orphaned.insert(orphaned.end(), work[i].second.begin(),
-                        work[i].second.end());
-        continue;
-      }
-      SerialReader reader(message->payload);
-      PDC_ASSIGN_OR_RETURN(server::EvalResponse response,
-                           server::EvalResponse::Deserialize(reader));
-      PDC_RETURN_IF_ERROR(response.status);
-      selection.num_hits += response.num_hits;
-      if (response.has_positions) {
-        selection.positions.insert(selection.positions.end(),
-                                   response.positions.begin(),
-                                   response.positions.end());
-      }
-      if (!response.sorted_extents.empty()) {
-        selection.replica_id = response.replica_id != kInvalidObjectId
-                                   ? response.replica_id
-                                   : selection.replica_id;
-        selection.sorted_extents.emplace_back(
-            message->sender, std::move(response.sorted_extents));
-      }
-      if (!round_has_response ||
-          response.ledger.elapsed() > round_critical.elapsed()) {
-        round_critical = response.ledger;
-        round_has_response = true;
-      }
-      stats.server_bytes_read += response.ledger.bytes_read;
-      stats.server_read_ops += response.ledger.read_ops;
-      stats.response_bytes += message->payload.size();
-      stats.regions_scanned += response.regions_scanned;
-      stats.regions_indexed += response.regions_indexed;
-      stats.regions_allhit += response.regions_allhit;
-      stats.regions_stale += response.regions_stale;
-      stats.max_data_epoch =
-          std::max(stats.max_data_epoch, response.max_data_epoch);
-    }
-    if (round_has_response) {
-      stats.max_server_seconds += round_critical.elapsed();
-      stats.max_server_io_seconds += round_critical.io_seconds;
-      stats.max_server_cpu_seconds += round_critical.cpu_seconds;
-      stats.max_server_scan_seconds += round_critical.scan_seconds;
-      stats.max_server_decode_seconds += round_critical.decode_seconds;
-      stats.max_server_merge_seconds += round_critical.merge_seconds;
-    }
-
-    if (orphaned.empty()) break;
-    alive = alive_servers();
+  // Degraded-mode dispatch.  Each alive server evaluates its own identity
+  // plus its share of the identities already dead (act_as).  When a server
+  // dies mid-round, the identities it was covering are re-planned onto the
+  // survivors for another round — so the final answer is exactly the
+  // fault-free one, only slower.  Only when every server is dead does the
+  // call surface kUnavailable.  The first round takes its alive and dead
+  // lists from one snapshot, so every identity is covered exactly once.
+  std::vector<ServerId> orphaned;
+  for (bool first_round = true; first_round || !orphaned.empty();
+       first_round = false) {
+    const std::vector<bool> dead = dead_snapshot();
+    const std::vector<ServerId> alive = servers_where(dead, false);
+    if (first_round) orphaned = servers_where(dead, true);
     if (alive.empty()) {
-      stats.dead_servers = options_.num_servers;
-      return Status::Unavailable(
-          "all PDC servers failed; query cannot complete");
+      return Status::Unavailable("all PDC servers are dead");
     }
-    log_warn("query degraded: ", orphaned.size(),
-             " server identities re-dispatched onto ", alive.size(),
-             " survivors");
+    if (!first_round) {
+      log_warn("query degraded: ", orphaned.size(),
+               " server identities re-dispatched onto ", alive.size(),
+               " survivors");
+    }
     for (const ServerId identity : orphaned) {
-      stats.redispatched_regions +=
+      op.stats.redispatched_regions +=
           regions_of_identity(request.terms, identity);
     }
     const auto extra = server::plan_reassignment(orphaned, alive);
-    work.clear();
+    Requests requests;
+    std::vector<std::vector<ServerId>> acting;  // act_as of each request
     for (std::size_t i = 0; i < alive.size(); ++i) {
-      if (!extra[i].empty()) work.emplace_back(alive[i], extra[i]);
+      request.act_as.clear();
+      if (first_round) request.act_as.push_back(alive[i]);
+      request.act_as.insert(request.act_as.end(), extra[i].begin(),
+                            extra[i].end());
+      if (request.act_as.empty()) continue;
+      requests.emplace_back(alive[i], request.serialize());
+      acting.push_back(request.act_as);
+    }
+    PDC_ASSIGN_OR_RETURN(
+        const std::vector<std::size_t> lost,
+        op.round<server::EvalResponse>(
+            op.trace(), requests,
+            [&](std::size_t i, server::EvalResponse& response) -> Status {
+              PDC_RETURN_IF_ERROR(response.status);
+              selection.num_hits += response.num_hits;
+              if (response.has_positions) {
+                selection.positions.insert(selection.positions.end(),
+                                           response.positions.begin(),
+                                           response.positions.end());
+              }
+              if (!response.sorted_extents.empty()) {
+                if (response.replica_id != kInvalidObjectId) {
+                  selection.replica_id = response.replica_id;
+                }
+                selection.sorted_extents.emplace_back(
+                    requests[i].first, std::move(response.sorted_extents));
+              }
+              op.stats.regions_scanned += response.regions_scanned;
+              op.stats.regions_indexed += response.regions_indexed;
+              op.stats.regions_allhit += response.regions_allhit;
+              op.stats.regions_stale += response.regions_stale;
+              op.stats.max_data_epoch =
+                  std::max(op.stats.max_data_epoch, response.max_data_epoch);
+              return Status::Ok();
+            }));
+    orphaned.clear();
+    for (const std::size_t i : lost) {
+      orphaned.insert(orphaned.end(), acting[i].begin(), acting[i].end());
     }
   }
-  stats.dead_servers = dead_servers().size();
 
-  // Responses stream back to the one client NIC.
-  stats.net_seconds +=
-      cost.net_latency_s +
-      static_cast<double>(stats.response_bytes) / cost.net_bandwidth_bps;
+  op.charge_responses();
 
   // Client-side aggregation: merge per-server position lists.
   if (!selection.positions.empty()) {
-    obs::ScopedSpan merge_span(query_span.context(), "client.merge", "client");
+    obs::ScopedSpan merge_span(op.trace(), "client.merge", "client");
     merge_span.arg("positions", static_cast<double>(selection.positions.size()));
-    stats.client_cpu_seconds += 2.0 * cost.scan_cost(
+    op.stats.client_cpu_seconds += 2.0 * op.cost.scan_cost(
         selection.positions.size() * sizeof(std::uint64_t));
     std::sort(selection.positions.begin(), selection.positions.end());
     if (multi_term) {
@@ -514,15 +402,7 @@ Result<Selection> QueryService::eval(const QueryPtr& query,
       request.terms.size() == 1) {
     selection.replica_id = request.terms.front().driver_replica;
   }
-
-  stats.sim_elapsed_seconds = stats.net_seconds + stats.max_server_seconds +
-                              stats.client_cpu_seconds;
-  if (opts.trace) {
-    query_span.arg("sim_elapsed_s", stats.sim_elapsed_seconds);
-    query_span.arg("num_hits", static_cast<double>(selection.num_hits));
-    query_span.close();
-    publish_trace(tracer, /*traced=*/true);
-  }
+  op.arg("num_hits", static_cast<double>(selection.num_hits));
   return selection;
 }
 
@@ -539,7 +419,7 @@ Result<Selection> QueryService::get_selection(const QueryPtr& query,
 }
 
 Result<obs::MetricsSnapshot> QueryService::scrape_metrics() {
-  const std::vector<ServerId> alive = alive_servers();
+  const std::vector<ServerId> alive = servers_where(dead_snapshot(), false);
   if (alive.empty()) {
     return Status::Unavailable("all PDC servers are dead");
   }
@@ -562,27 +442,16 @@ Result<obs::MetricsSnapshot> QueryService::scrape_metrics() {
 Status QueryService::get_data_raw(ObjectId object, const Selection& selection,
                                   std::span<std::uint8_t> out, PdcType type,
                                   GetDataMode mode, const QueryOptions& opts) {
-  WallTimer wall;
-  obs::Tracer tracer(opts.trace ? obs::next_id() : 0);
-  const obs::TraceContext root =
-      opts.trace ? obs::TraceContext{&tracer, tracer.trace_id(), 0}
-                 : obs::TraceContext{};
-  obs::ScopedSpan query_span(root, "client.get_data", "client");
-  OpStats stats;
-  struct Publisher {
-    QueryService* service;
-    OpStats* stats;
-    WallTimer* wall;
-    ~Publisher() {
-      stats->wall_seconds = wall->elapsed_seconds();
-      if (service->pool_ != nullptr) {
-        stats->pool_threads = service->pool_->size();
-        stats->pool_queue_peak = service->pool_->stats().queue_peak;
-      }
-      service->publish_stats(*stats);
-    }
-  } publisher{this, &stats, &wall};
-  const CostModel& cost = store_.cluster().config().cost;
+  OpScope op(*this, opts, "client.get_data");
+  PDC_RETURN_IF_ERROR(fetch_data(op, object, selection, out, type, mode));
+  op.arg("bytes", static_cast<double>(out.size()));
+  return Status::Ok();
+}
+
+Status QueryService::fetch_data(OpScope& op, ObjectId object,
+                                const Selection& selection,
+                                std::span<std::uint8_t> out, PdcType type,
+                                GetDataMode mode) {
   PDC_ASSIGN_OR_RETURN(const obj::ObjectDescriptor* target,
                        store_.get(object));
   if (target->type != type) {
@@ -593,11 +462,7 @@ Status QueryService::get_data_raw(ObjectId object, const Selection& selection,
     return Status::InvalidArgument(
         "get_data buffer must hold num_hits elements");
   }
-  if (selection.num_hits == 0) {
-    query_span.close();
-    publish_trace(tracer, opts.trace);
-    return Status::Ok();
-  }
+  if (selection.num_hits == 0) return Status::Ok();
 
   // Resolve the fetch mode.
   bool use_replica = false;
@@ -681,90 +546,41 @@ Status QueryService::get_data_raw(ObjectId object, const Selection& selection,
   std::vector<std::size_t> pending(parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) pending[i] = i;
   while (!pending.empty()) {
-    const std::vector<ServerId> alive = alive_servers();
+    const std::vector<bool> dead = dead_snapshot();
+    const std::vector<ServerId> alive = servers_where(dead, false);
     if (alive.empty()) {
-      stats.dead_servers = options_.num_servers;
-      return Status::Unavailable(
-          "all PDC servers failed; get_data cannot complete");
+      return Status::Unavailable("all PDC servers are dead");
     }
     // Route each pending part: its owner when alive, else a survivor.
-    const std::vector<bool> dead = dead_snapshot();
-    std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests;
-    std::vector<ServerId> targets;
-    double max_request_net = 0.0;
+    Requests requests;
     std::size_t reroute_index = 0;
     for (const std::size_t p : pending) {
       ServerId to = parts[p].owner;
       if (dead[to]) {
         to = alive[reroute_index++ % alive.size()];
-        stats.redispatched_regions += parts[p].regions;
+        op.stats.redispatched_regions += parts[p].regions;
       }
-      stats.request_bytes += parts[p].payload.size();
-      max_request_net = std::max(max_request_net,
-                                 cost.net_cost(parts[p].payload.size()));
       requests.emplace_back(to, parts[p].payload);
-      targets.push_back(to);
     }
-    stats.net_seconds += max_request_net;
-
-    const rpc::GatherResult gathered =
-        client_.gather(requests, query_span.context(), opts.tenant);
-    stats.retries += gathered.stats.retries;
-    stats.timeouts += gathered.stats.timeouts;
-    stats.sheds += gathered.stats.sheds;
-    if (gathered.bus_closed) {
-      return Status::Unavailable("message bus shut down mid-fetch");
-    }
-    // Same per-round maxima discipline as eval(): sequential redispatch
-    // rounds each add their critical server to the modeled elapsed time.
-    bool round_has_response = false;
-    server::LedgerSummary round_critical;
+    PDC_ASSIGN_OR_RETURN(
+        const std::vector<std::size_t> lost,
+        op.round<server::GetDataResponse>(
+            op.trace(), requests,
+            [&](std::size_t i, server::GetDataResponse& response) -> Status {
+              PDC_RETURN_IF_ERROR(response.status);
+              if (response.values.size() != parts[pending[i]].expected_bytes) {
+                return Status::Corruption(
+                    "get_data response does not match requested element "
+                    "count");
+              }
+              values_by_part[pending[i]] = std::move(response.values);
+              return Status::Ok();
+            }));
     std::vector<std::size_t> still_pending;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const auto& message = gathered.responses[i];
-      if (!message.has_value()) {
-        if (gathered.shed[i]) {
-          // Overloaded, not dead (see eval()): fail fast, caller retries.
-          return Status::Overloaded(
-              "server " + std::to_string(targets[i]) +
-              " shed the data fetch; retry later");
-        }
-        mark_dead(targets[i]);
-        still_pending.push_back(pending[i]);
-        continue;
-      }
-      SerialReader reader(message->payload);
-      PDC_ASSIGN_OR_RETURN(server::GetDataResponse response,
-                           server::GetDataResponse::Deserialize(reader));
-      PDC_RETURN_IF_ERROR(response.status);
-      if (!round_has_response ||
-          response.ledger.elapsed() > round_critical.elapsed()) {
-        round_critical = response.ledger;
-        round_has_response = true;
-      }
-      stats.server_bytes_read += response.ledger.bytes_read;
-      stats.server_read_ops += response.ledger.read_ops;
-      stats.response_bytes += message->payload.size();
-      if (response.values.size() != parts[pending[i]].expected_bytes) {
-        return Status::Corruption(
-            "get_data response does not match requested element count");
-      }
-      values_by_part[pending[i]] = std::move(response.values);
-    }
-    if (round_has_response) {
-      stats.max_server_seconds += round_critical.elapsed();
-      stats.max_server_io_seconds += round_critical.io_seconds;
-      stats.max_server_cpu_seconds += round_critical.cpu_seconds;
-      stats.max_server_scan_seconds += round_critical.scan_seconds;
-      stats.max_server_decode_seconds += round_critical.decode_seconds;
-      stats.max_server_merge_seconds += round_critical.merge_seconds;
-    }
+    for (const std::size_t i : lost) still_pending.push_back(pending[i]);
     pending = std::move(still_pending);
   }
-  stats.dead_servers = dead_servers().size();
-  stats.net_seconds +=
-      cost.net_latency_s +
-      static_cast<double>(stats.response_bytes) / cost.net_bandwidth_bps;
+  op.charge_responses();
 
   if (use_replica) {
     // Slice each server's blob per extent, then lay extents out in
@@ -807,17 +623,8 @@ Status QueryService::get_data_raw(ObjectId object, const Selection& selection,
       dest += elem_size;
     }
   }
-  stats.client_cpu_seconds +=
-      static_cast<double>(out.size()) / cost.memcpy_bandwidth_bps;
-
-  stats.sim_elapsed_seconds = stats.net_seconds + stats.max_server_seconds +
-                              stats.client_cpu_seconds;
-  if (opts.trace) {
-    query_span.arg("sim_elapsed_s", stats.sim_elapsed_seconds);
-    query_span.arg("bytes", static_cast<double>(out.size()));
-    query_span.close();
-    publish_trace(tracer, true);
-  }
+  op.stats.client_cpu_seconds +=
+      static_cast<double>(out.size()) / op.cost.memcpy_bandwidth_bps;
   return Status::Ok();
 }
 
@@ -847,8 +654,10 @@ Status QueryService::get_data_batch(
   PDC_ASSIGN_OR_RETURN(const obj::ObjectDescriptor* target,
                        store_.get(object));
   const std::size_t elem_size = target->element_size();
+  // One scope for the whole stream: every batch's rounds accumulate into
+  // one published total, read from no shared slot.
+  OpScope op(*this, QueryOptions{}, "client.get_data");
   std::vector<std::uint8_t> buffer;
-  OpStats accumulated;
   for (std::uint64_t first = 0; first < selection.num_hits;
        first += batch_elements) {
     const std::uint64_t count =
@@ -859,27 +668,10 @@ Status QueryService::get_data_batch(
         selection.positions.begin() + static_cast<std::ptrdiff_t>(first),
         selection.positions.begin() + static_cast<std::ptrdiff_t>(first + count));
     buffer.resize(static_cast<std::size_t>(count * elem_size));
-    PDC_RETURN_IF_ERROR(get_data_raw(object, batch, buffer, target->type,
-                                     GetDataMode::kByPositions));
-    const OpStats batch_stats = last_stats();
-    accumulated.sim_elapsed_seconds += batch_stats.sim_elapsed_seconds;
-    accumulated.wall_seconds += batch_stats.wall_seconds;
-    accumulated.net_seconds += batch_stats.net_seconds;
-    accumulated.max_server_seconds += batch_stats.max_server_seconds;
-    accumulated.client_cpu_seconds += batch_stats.client_cpu_seconds;
-    accumulated.request_bytes += batch_stats.request_bytes;
-    accumulated.response_bytes += batch_stats.response_bytes;
-    accumulated.server_bytes_read += batch_stats.server_bytes_read;
-    accumulated.server_read_ops += batch_stats.server_read_ops;
-    accumulated.retries += batch_stats.retries;
-    accumulated.timeouts += batch_stats.timeouts;
-    accumulated.dead_servers = batch_stats.dead_servers;
-    accumulated.redispatched_regions += batch_stats.redispatched_regions;
-    accumulated.pool_threads = batch_stats.pool_threads;
-    accumulated.pool_queue_peak = batch_stats.pool_queue_peak;
+    PDC_RETURN_IF_ERROR(fetch_data(op, object, batch, buffer, target->type,
+                                   GetDataMode::kByPositions));
     consume(buffer, first);
   }
-  publish_stats(accumulated);
   return Status::Ok();
 }
 
@@ -900,32 +692,12 @@ Result<WriteReport> QueryService::overwrite(ObjectId object, Extent1D extent,
 Result<WriteReport> QueryService::transfer_write(
     ObjectId object, server::WriteKind kind, Extent1D extent,
     std::span<const std::uint8_t> payload, const QueryOptions& opts) {
-  WallTimer wall;
-  obs::Tracer tracer(opts.trace ? obs::next_id() : 0);
-  const obs::TraceContext root =
-      opts.trace ? obs::TraceContext{&tracer, tracer.trace_id(), 0}
-                 : obs::TraceContext{};
-  obs::ScopedSpan write_span(root, "client.transfer_write", "client");
-  OpStats stats;
-  struct Publisher {
-    QueryService* service;
-    OpStats* stats;
-    WallTimer* wall;
-    ~Publisher() {
-      stats->wall_seconds = wall->elapsed_seconds();
-      if (service->pool_ != nullptr) {
-        stats->pool_threads = service->pool_->size();
-        stats->pool_queue_peak = service->pool_->stats().queue_peak;
-      }
-      service->publish_stats(*stats);
-    }
-  } publisher{this, &stats, &wall};
+  OpScope op(*this, opts, "client.transfer_write");
   if (mutable_store_ == nullptr) {
     return Status::FailedPrecondition(
         "service opened read-only; use the writable constructor to enable "
         "transfer_write");
   }
-  const CostModel& cost = store_.cluster().config().cost;
   PDC_ASSIGN_OR_RETURN(const obj::ObjectDescriptor* target,
                        store_.get(object));
 
@@ -957,91 +729,51 @@ Result<WriteReport> QueryService::transfer_write(
       *target, server::region_of_position(*target, anchor_pos),
       options_.num_servers);
 
-  std::size_t attempt = 0;
-  while (true) {
-    const std::vector<ServerId> alive = alive_servers();
-    if (alive.empty()) {
-      stats.dead_servers = options_.num_servers;
-      return Status::Unavailable(
-          "all PDC servers failed; transfer_write cannot complete");
-    }
+  std::optional<WriteReport> report;
+  for (std::size_t attempt = 0; !report.has_value(); ++attempt) {
     const std::vector<bool> dead = dead_snapshot();
+    const std::vector<ServerId> alive = servers_where(dead, false);
+    if (alive.empty()) {
+      return Status::Unavailable("all PDC servers are dead");
+    }
     ServerId to = owner;
     if (dead[to]) to = alive[attempt % alive.size()];
-    ++attempt;
-    stats.request_bytes += bytes.size();
-    stats.net_seconds += cost.net_cost(bytes.size());
-
-    std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests;
+    Requests requests;
     requests.emplace_back(to, bytes);
-    const rpc::GatherResult gathered =
-        client_.gather(requests, write_span.context(), opts.tenant);
-    stats.retries += gathered.stats.retries;
-    stats.timeouts += gathered.stats.timeouts;
-    stats.sheds += gathered.stats.sheds;
-    if (gathered.bus_closed) {
-      return Status::Unavailable("message bus shut down mid-write");
-    }
-    const auto& message = gathered.responses.front();
-    if (!message.has_value()) {
-      if (gathered.shed.front()) {
-        // Overloaded, not dead: the write was rejected at admission, so it
-        // was NOT applied.  Fail fast; the caller may retry under the same
-        // seq only via a fresh call (which assigns a new one) — this call's
-        // seq is burned but never observed, which is harmless.
-        return Status::Overloaded("server " + std::to_string(to) +
-                                  " shed the write; retry later");
-      }
-      // No answer: the server may or may not have applied the write before
-      // dying.  Reroute under the SAME seq — a survivor either applies it
-      // (never happened) or acks it as a duplicate (happened; ack lost).
-      mark_dead(to);
-      stats.redispatched_regions += 1;
-      continue;
-    }
-    SerialReader reader(message->payload);
-    PDC_ASSIGN_OR_RETURN(server::TransferWriteResponse response,
-                         server::TransferWriteResponse::Deserialize(reader));
-    PDC_RETURN_IF_ERROR(response.status);
-    stats.response_bytes += message->payload.size();
-    stats.server_bytes_read += response.ledger.bytes_read;
-    stats.server_read_ops += response.ledger.read_ops;
-    stats.max_server_seconds += response.ledger.elapsed();
-    stats.max_server_io_seconds += response.ledger.io_seconds;
-    stats.max_server_cpu_seconds += response.ledger.cpu_seconds;
-    stats.max_server_scan_seconds += response.ledger.scan_seconds;
-    stats.max_server_decode_seconds += response.ledger.decode_seconds;
-    stats.max_server_merge_seconds += response.ledger.merge_seconds;
-    stats.net_seconds += cost.net_latency_s +
-                         static_cast<double>(message->payload.size()) /
-                             cost.net_bandwidth_bps;
-    stats.dead_servers = dead_servers().size();
-    stats.max_data_epoch = response.data_epoch;
-
-    WriteReport report;
-    report.data_epoch = response.data_epoch;
-    report.regions_touched = response.regions_touched;
-    report.duplicate = response.duplicate;
-    report.compacted = response.compacted;
-    if (!report.duplicate && metadata_enabled()) {
-      // Write-path hook: the object's new data epoch propagates into the
-      // metadata service through the same replicated update path (per-
-      // vnode seq, epoch bump on every replica), so metadata queries can
-      // see write recency (`__data_epoch >= N`) with exact semantics.
-      PDC_RETURN_IF_ERROR(meta_apply_update(
-          object, "__data_epoch",
-          static_cast<std::int64_t>(response.data_epoch), opts, &stats));
-    }
-    stats.sim_elapsed_seconds = stats.net_seconds + stats.max_server_seconds;
-    if (opts.trace) {
-      write_span.arg("sim_elapsed_s", stats.sim_elapsed_seconds);
-      write_span.arg("bytes", static_cast<double>(payload.size()));
-      write_span.arg("data_epoch", static_cast<double>(response.data_epoch));
-      write_span.close();
-      publish_trace(tracer, true);
-    }
-    return report;
+    // A shed write was rejected at admission, so it was NOT applied; this
+    // call's seq is burned but never observed, which is harmless.
+    PDC_ASSIGN_OR_RETURN(
+        const std::vector<std::size_t> lost,
+        op.round<server::TransferWriteResponse>(
+            op.trace(), requests,
+            [&](std::size_t, server::TransferWriteResponse& response)
+                -> Status {
+              PDC_RETURN_IF_ERROR(response.status);
+              report = WriteReport{response.data_epoch,
+                                   response.regions_touched,
+                                   response.duplicate, response.compacted};
+              return Status::Ok();
+            }));
+    // No answer: the server may or may not have applied the write before
+    // dying.  Reroute under the SAME seq — a survivor either applies it
+    // (never happened) or acks it as a duplicate (happened; ack lost).
+    op.stats.redispatched_regions += lost.size();
   }
+  op.charge_responses();
+  op.stats.max_data_epoch = report->data_epoch;
+
+  if (!report->duplicate && metadata_enabled()) {
+    // Write-path hook: the object's new data epoch propagates into the
+    // metadata service through the same replicated update path (per-
+    // vnode seq, epoch bump on every replica), so metadata queries can
+    // see write recency (`__data_epoch >= N`) with exact semantics.
+    PDC_RETURN_IF_ERROR(meta_apply_update(
+        op, object, "__data_epoch",
+        static_cast<std::int64_t>(report->data_epoch)));
+  }
+  op.arg("bytes", static_cast<double>(payload.size()));
+  op.arg("data_epoch", static_cast<double>(report->data_epoch));
+  return *report;
 }
 
 Result<hist::MergeableHistogram> QueryService::get_histogram(

@@ -403,6 +403,10 @@ class QueryService {
   [[nodiscard]] std::vector<ServerId> dead_servers() const;
 
  private:
+  /// One operation's stats/trace scope and its dispatch rounds
+  /// (query/dispatch.h).
+  class OpScope;
+
   /// Shared constructor body; `mutable_store` is null for the read-only
   /// overload and &store for the writable one.
   QueryService(const obj::ObjectStore& store, obj::ObjectStore* mutable_store,
@@ -415,13 +419,20 @@ class QueryService {
   Status get_data_raw(ObjectId object, const Selection& selection,
                       std::span<std::uint8_t> out, PdcType type,
                       GetDataMode mode, const QueryOptions& opts = {});
+  /// get_data's body, accumulating into `op` (get_data_batch runs every
+  /// batch inside one scope).
+  Status fetch_data(OpScope& op, ObjectId object, const Selection& selection,
+                    std::span<std::uint8_t> out, PdcType type,
+                    GetDataMode mode);
   Result<Selection> eval(const QueryPtr& query, bool need_locations,
                          const QueryOptions& opts = {});
-  /// Move the tracer's spans into last_trace_ (no-op for a disabled run).
-  void publish_trace(obs::Tracer& tracer, bool traced);
 
-  /// Servers not (yet) marked dead.
-  [[nodiscard]] std::vector<ServerId> alive_servers() const;
+  /// Ids s with dead[s] == want_dead.  An op derives its alive AND its dead
+  /// list from one dead_snapshot(): a server that a concurrent op marks
+  /// dead between two snapshots would land in neither list (or both), and
+  /// its identity would be covered zero times (or twice).
+  [[nodiscard]] static std::vector<ServerId> servers_where(
+      const std::vector<bool>& dead, bool want_dead);
   /// Count the regions of each term's driver object assigned to `identity`
   /// (what a redispatch re-plans onto a survivor).
   [[nodiscard]] std::uint64_t regions_of_identity(
@@ -431,12 +442,9 @@ class QueryService {
   /// (constructor helper; parallel across servers when a pool exists).
   void build_meta_shards();
   /// Shared update path for meta_set_attribute and the write-path hook.
-  Status meta_apply_update(ObjectId object, std::string_view attribute,
-                           meta::MetaValue value, const QueryOptions& opts,
-                           OpStats* stats_out);
+  Status meta_apply_update(OpScope& op, ObjectId object,
+                           std::string_view attribute, meta::MetaValue value);
 
-  /// Publishes local per-operation stats into stats_ when done.
-  void publish_stats(const OpStats& stats);
   /// Snapshot of dead_ under the lock.
   [[nodiscard]] std::vector<bool> dead_snapshot() const;
   void mark_dead(ServerId server);

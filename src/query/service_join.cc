@@ -19,8 +19,7 @@
 #include <utility>
 
 #include "common/log.h"
-#include "common/timer.h"
-#include "query/service.h"
+#include "query/dispatch.h"
 #include "server/region_assignment.h"
 #include "server/zone_join.h"
 
@@ -28,27 +27,7 @@ namespace pdc::query {
 
 Result<JoinResult> QueryService::join(const JoinSpec& spec,
                                       const QueryOptions& opts) {
-  WallTimer wall;
-  obs::Tracer tracer(opts.trace ? obs::next_id() : 0);
-  const obs::TraceContext root =
-      opts.trace ? obs::TraceContext{&tracer, tracer.trace_id(), 0}
-                 : obs::TraceContext{};
-  obs::ScopedSpan join_span(root, "client.join", "client");
-  OpStats stats;
-  struct Publisher {
-    QueryService* service;
-    OpStats* stats;
-    WallTimer* wall;
-    ~Publisher() {
-      stats->wall_seconds = wall->elapsed_seconds();
-      if (service->pool_ != nullptr) {
-        stats->pool_threads = service->pool_->size();
-        stats->pool_queue_peak = service->pool_->stats().queue_peak;
-      }
-      service->publish_stats(*stats);
-    }
-  } publisher{this, &stats, &wall};
-  const CostModel& cost = store_.cluster().config().cost;
+  OpScope op(*this, opts, "client.join");
 
   // Plan-time validation: parameter admissibility (NaN epsilon / zone
   // height rejected here) and object existence.
@@ -73,125 +52,78 @@ Result<JoinResult> QueryService::join(const JoinSpec& spec,
   // deadline expiry that killed nobody).
   const std::uint32_t max_epochs = options_.num_servers + 2;
   for (std::uint32_t epoch = 1; epoch <= max_epochs; ++epoch) {
-    const std::vector<ServerId> alive = alive_servers();
+    // Participants and the dead identities they act for come from one
+    // snapshot, so every identity's candidates are produced exactly once.
+    const std::vector<bool> dead = dead_snapshot();
+    const std::vector<ServerId> alive = servers_where(dead, false);
     if (alive.empty()) {
-      stats.dead_servers = options_.num_servers;
       return Status::Unavailable("all PDC servers are dead");
     }
     request.epoch = epoch;
     request.participants = alive;  // ascending by construction
-    const auto extra = server::plan_reassignment(dead_servers(), alive);
-
-    std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests;
-    requests.reserve(alive.size());
-    double max_request_net = 0.0;
+    const auto extra =
+        server::plan_reassignment(servers_where(dead, true), alive);
+    Requests requests;
     for (std::size_t i = 0; i < alive.size(); ++i) {
       request.act_as.assign(1, alive[i]);
       request.act_as.insert(request.act_as.end(), extra[i].begin(),
                             extra[i].end());
-      std::vector<std::uint8_t> payload = request.serialize();
-      stats.request_bytes += payload.size();
-      max_request_net =
-          std::max(max_request_net, cost.net_cost(payload.size()));
-      requests.emplace_back(alive[i], std::move(payload));
-    }
-    stats.net_seconds += max_request_net;
-
-    const rpc::GatherResult gathered =
-        client_.gather(requests, join_span.context(), opts.tenant);
-    stats.retries += gathered.stats.retries;
-    stats.timeouts += gathered.stats.timeouts;
-    stats.sheds += gathered.stats.sheds;
-    if (gathered.bus_closed) {
-      return Status::Unavailable("message bus shut down mid-join");
+      requests.emplace_back(alive[i], request.serialize());
     }
 
     // A join epoch is all-or-nothing: any missing or kUnavailable response
     // poisons it (some server's zone share is absent), so every partial
     // result is discarded and a fresh epoch re-runs on the survivors.
     bool epoch_failed = false;
-    bool round_has_response = false;
-    server::LedgerSummary round_critical;
     std::uint64_t max_sender_bytes = 0;
     std::uint64_t rounds = 0;
     std::uint64_t candidates_a = 0;
     std::uint64_t candidates_b = 0;
     std::map<std::int64_t, std::vector<server::JoinPairWire>> merged;
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      const auto& message = gathered.responses[i];
-      if (!message.has_value()) {
-        if (gathered.shed[i]) {
-          // Overloaded, not dead (see eval()): fail fast, caller retries.
-          return Status::Overloaded("server " + std::to_string(alive[i]) +
-                                    " shed the join; retry later");
-        }
-        mark_dead(alive[i]);
-        epoch_failed = true;
-        continue;
-      }
-      SerialReader reader(message->payload);
-      PDC_ASSIGN_OR_RETURN(server::JoinEvalResponse response,
-                           server::JoinEvalResponse::Deserialize(reader));
-      stats.response_bytes += message->payload.size();
-      stats.shuffle_bytes += response.shuffle_bytes_sent;
-      stats.shuffle_msgs += response.shuffle_msgs_sent;
-      stats.shuffle_retransmits += response.shuffle_retransmits;
-      if (!response.status.ok()) {
-        if (response.status.code() == StatusCode::kUnavailable) {
-          // Shuffle deadline expired on this server (a peer died or frames
-          // kept vanishing) — retriable under a fresh epoch.
-          epoch_failed = true;
-          continue;
-        }
-        return response.status;  // deterministic failure; retrying is futile
-      }
-      candidates_a += response.candidates_a;
-      candidates_b += response.candidates_b;
-      max_sender_bytes =
-          std::max(max_sender_bytes, response.shuffle_bytes_sent);
-      rounds = std::max(rounds, response.shuffle_rounds);
-      stats.server_bytes_read += response.ledger.bytes_read;
-      stats.server_read_ops += response.ledger.read_ops;
-      if (!round_has_response ||
-          response.ledger.elapsed() > round_critical.elapsed()) {
-        round_critical = response.ledger;
-        round_has_response = true;
-      }
-      for (server::ZonePairs& zp : response.zones) {
-        if (!merged.emplace(zp.zone, std::move(zp.pairs)).second) {
-          return Status::Internal("zone " + std::to_string(zp.zone) +
-                                  " reported by two servers");
-        }
-      }
-    }
-    if (round_has_response) {
-      // Server evaluation overlaps across participants: per-round max.
-      stats.max_server_seconds += round_critical.elapsed();
-      stats.max_server_io_seconds += round_critical.io_seconds;
-      stats.max_server_cpu_seconds += round_critical.cpu_seconds;
-      stats.max_server_scan_seconds += round_critical.scan_seconds;
-      stats.max_server_decode_seconds += round_critical.decode_seconds;
-      stats.max_server_merge_seconds += round_critical.merge_seconds;
-    }
-    if (epoch_failed) {
+    PDC_ASSIGN_OR_RETURN(
+        const std::vector<std::size_t> lost,
+        op.round<server::JoinEvalResponse>(
+            op.trace(), requests,
+            [&](std::size_t, server::JoinEvalResponse& response) -> Status {
+              op.stats.shuffle_bytes += response.shuffle_bytes_sent;
+              op.stats.shuffle_msgs += response.shuffle_msgs_sent;
+              op.stats.shuffle_retransmits += response.shuffle_retransmits;
+              if (response.status.code() == StatusCode::kUnavailable) {
+                // Shuffle deadline expired on this server (a peer died or
+                // frames kept vanishing) — retriable under a fresh epoch.
+                epoch_failed = true;
+                return Status::Ok();
+              }
+              // Any other failure is deterministic; retrying is futile.
+              PDC_RETURN_IF_ERROR(response.status);
+              candidates_a += response.candidates_a;
+              candidates_b += response.candidates_b;
+              max_sender_bytes =
+                  std::max(max_sender_bytes, response.shuffle_bytes_sent);
+              rounds = std::max(rounds, response.shuffle_rounds);
+              for (server::ZonePairs& zp : response.zones) {
+                if (!merged.emplace(zp.zone, std::move(zp.pairs)).second) {
+                  return Status::Internal("zone " + std::to_string(zp.zone) +
+                                          " reported by two servers");
+                }
+              }
+              return Status::Ok();
+            }));
+    if (epoch_failed || !lost.empty()) {
       log_warn("join epoch ", epoch, " failed; re-running on ",
-               alive_servers().size(), " survivors");
+               servers_where(dead_snapshot(), false).size(), " survivors");
       continue;
     }
 
     // MPC communication term: rounds are latency-bound, volume is bound by
     // the busiest sender (links are full-duplex and parallel).
-    stats.shuffle_rounds = rounds;
-    stats.join_candidates_left = candidates_a;
-    stats.join_candidates_right = candidates_b;
-    stats.net_seconds +=
-        static_cast<double>(rounds) * cost.net_latency_s +
-        static_cast<double>(max_sender_bytes) / cost.net_bandwidth_bps;
-    // Responses stream back to the one client NIC.
-    stats.net_seconds +=
-        cost.net_latency_s +
-        static_cast<double>(stats.response_bytes) / cost.net_bandwidth_bps;
-    stats.dead_servers = dead_servers().size();
+    op.stats.shuffle_rounds = rounds;
+    op.stats.join_candidates_left = candidates_a;
+    op.stats.join_candidates_right = candidates_b;
+    op.stats.net_seconds +=
+        static_cast<double>(rounds) * op.cost.net_latency_s +
+        static_cast<double>(max_sender_bytes) / op.cost.net_bandwidth_bps;
+    op.charge_responses();
 
     // Client merge: per-zone lists are pre-sorted; concatenation in
     // ascending zone order is the deterministic global result.
@@ -205,25 +137,16 @@ Result<JoinResult> QueryService::join(const JoinSpec& spec,
         result.pairs.push_back({p.left_pos, p.right_pos});
       }
     }
-    stats.client_cpu_seconds +=
+    op.stats.client_cpu_seconds +=
         static_cast<double>(total_pairs * sizeof(server::JoinPairWire)) /
-        cost.memcpy_bandwidth_bps;
-    stats.sim_elapsed_seconds = stats.net_seconds + stats.max_server_seconds +
-                                stats.client_cpu_seconds;
-    if (opts.trace) {
-      join_span.arg("sim_elapsed_s", stats.sim_elapsed_seconds);
-      join_span.arg("pairs", static_cast<double>(result.pairs.size()));
-      join_span.arg("zones", static_cast<double>(result.num_zones));
-      join_span.arg("epoch", static_cast<double>(epoch));
-      join_span.arg("shuffle_bytes", static_cast<double>(stats.shuffle_bytes));
-      join_span.arg("strategy",
-                    static_cast<double>(static_cast<int>(request.strategy)));
-      join_span.close();
-      publish_trace(tracer, /*traced=*/true);
-    }
+        op.cost.memcpy_bandwidth_bps;
+    op.arg("pairs", static_cast<double>(result.pairs.size()));
+    op.arg("zones", static_cast<double>(result.num_zones));
+    op.arg("epoch", static_cast<double>(epoch));
+    op.arg("shuffle_bytes", static_cast<double>(op.stats.shuffle_bytes));
+    op.arg("strategy", static_cast<double>(static_cast<int>(request.strategy)));
     return result;
   }
-  stats.dead_servers = dead_servers().size();
   return Status::Unavailable("join failed after " +
                              std::to_string(max_epochs) + " epochs");
 }

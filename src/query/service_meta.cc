@@ -29,8 +29,7 @@
 #include <utility>
 
 #include "common/log.h"
-#include "common/timer.h"
-#include "query/service.h"
+#include "query/dispatch.h"
 
 namespace pdc::query {
 
@@ -64,31 +63,14 @@ void QueryService::build_meta_shards() {
 
 Result<std::vector<ObjectId>> QueryService::meta_query(
     std::span<const meta::MetaCondition> conditions, const QueryOptions& opts) {
-  WallTimer wall;
-  obs::Tracer tracer(opts.trace ? obs::next_id() : 0);
-  const obs::TraceContext root =
-      opts.trace ? obs::TraceContext{&tracer, tracer.trace_id(), 0}
-                 : obs::TraceContext{};
-  obs::ScopedSpan query_span(root, "client.meta_query", "client");
-  OpStats stats;
-  struct Publisher {
-    QueryService* service;
-    OpStats* stats;
-    WallTimer* wall;
-    ~Publisher() {
-      stats->wall_seconds = wall->elapsed_seconds();
-      service->publish_stats(*stats);
-    }
-  } publisher{this, &stats, &wall};
+  OpScope op(*this, opts, "client.meta_query");
   if (meta_shards_.empty()) {
     return Status::FailedPrecondition(
         "no metadata service in this deployment; set "
         "ServiceOptions::metadata");
   }
-  const CostModel& cost = store_.cluster().config().cost;
   std::vector<ObjectId> result;
   if (conditions.empty()) {
-    publish_trace(tracer, opts.trace);
     return result;  // mirrors MetaStore::query on an empty conjunction
   }
 
@@ -99,11 +81,7 @@ Result<std::vector<ObjectId>> QueryService::meta_query(
   std::vector<std::vector<std::uint32_t>> routes(num_conditions);
   for (std::size_t i = 0; i < num_conditions; ++i) {
     routes[i] = meta::vnodes_of_condition(conditions[i], meta_ring_);
-    if (routes[i].empty()) {
-      query_span.close();
-      publish_trace(tracer, opts.trace);
-      return result;
-    }
+    if (routes[i].empty()) return result;
   }
 
   struct Pending {
@@ -142,7 +120,6 @@ Result<std::vector<ObjectId>> QueryService::meta_query(
         }
       }
       if (!found) {
-        stats.dead_servers = dead_servers().size();
         return Status::Unavailable("metadata vnode " +
                                    std::to_string(p.vnode) +
                                    " lost all replicas");
@@ -153,10 +130,9 @@ Result<std::vector<ObjectId>> QueryService::meta_query(
     // One kMetaQuery per chosen server, carrying only the conditions (and
     // vnodes) assigned to it; remember the global condition index of every
     // request slot for the merge.
-    std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests;
+    Requests requests;
     std::vector<std::vector<std::size_t>> slot_cond;
     std::vector<std::vector<Pending>> request_pending;
-    double max_request_net = 0.0;
     for (auto& [target, assigned] : assignment) {
       std::map<std::size_t, std::vector<std::uint32_t>> by_condition;
       for (const Pending& p : assigned) by_condition[p.cond].push_back(p.vnode);
@@ -167,79 +143,43 @@ Result<std::vector<ObjectId>> QueryService::meta_query(
         request.vnodes.push_back(std::move(vnodes));
         mapping.push_back(cond);
       }
-      std::vector<std::uint8_t> payload = request.serialize();
-      stats.request_bytes += payload.size();
-      max_request_net =
-          std::max(max_request_net, cost.net_cost(payload.size()));
-      requests.emplace_back(target, std::move(payload));
+      requests.emplace_back(target, request.serialize());
       slot_cond.push_back(std::move(mapping));
       request_pending.push_back(std::move(assigned));
     }
-    stats.net_seconds += max_request_net;
 
-    const rpc::GatherResult gathered =
-        client_.gather(requests, query_span.context(), opts.tenant);
-    stats.retries += gathered.stats.retries;
-    stats.timeouts += gathered.stats.timeouts;
-    stats.sheds += gathered.stats.sheds;
-    if (gathered.bus_closed) {
-      return Status::Unavailable("message bus shut down mid-query");
-    }
-
-    bool round_has_response = false;
-    server::LedgerSummary round_critical;
+    PDC_ASSIGN_OR_RETURN(
+        const std::vector<std::size_t> lost,
+        op.round<server::MetaQueryResponse>(
+            op.trace(), requests,
+            [&](std::size_t i, server::MetaQueryResponse& response) -> Status {
+              PDC_RETURN_IF_ERROR(response.status);
+              if (response.postings.size() != slot_cond[i].size()) {
+                return Status::Corruption(
+                    "meta query response misaligned with its request");
+              }
+              for (std::size_t j = 0; j < slot_cond[i].size(); ++j) {
+                std::vector<ObjectId>& sink = postings[slot_cond[i][j]];
+                sink.insert(sink.end(), response.postings[j].begin(),
+                            response.postings[j].end());
+              }
+              op.stats.meta_probes += response.probes;
+              op.stats.meta_vnodes_queried += response.epochs.size();
+              for (const auto& [vnode, epoch] : response.epochs) {
+                (void)vnode;
+                op.stats.meta_max_epoch =
+                    std::max(op.stats.meta_max_epoch, epoch);
+              }
+              std::lock_guard lock(state_mu_);
+              meta_load_[requests[i].first] += response.ledger.elapsed();
+              return Status::Ok();
+            }));
+    // A dead replica's (condition, vnode) work re-routes to the surviving
+    // replicas next round.
     std::vector<Pending> requeued;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const ServerId target = requests[i].first;
-      const auto& message = gathered.responses[i];
-      if (!message.has_value()) {
-        if (gathered.shed[i]) {
-          // Overloaded, not dead: fail fast instead of piling the load
-          // onto the other replicas.
-          return Status::Overloaded("server " + std::to_string(target) +
-                                    " shed the metadata query; retry later");
-        }
-        mark_dead(target);
-        requeued.insert(requeued.end(), request_pending[i].begin(),
-                        request_pending[i].end());
-        continue;
-      }
-      SerialReader reader(message->payload);
-      PDC_ASSIGN_OR_RETURN(server::MetaQueryResponse response,
-                           server::MetaQueryResponse::Deserialize(reader));
-      PDC_RETURN_IF_ERROR(response.status);
-      if (response.postings.size() != slot_cond[i].size()) {
-        return Status::Corruption(
-            "meta query response misaligned with its request");
-      }
-      for (std::size_t j = 0; j < slot_cond[i].size(); ++j) {
-        std::vector<ObjectId>& sink = postings[slot_cond[i][j]];
-        sink.insert(sink.end(), response.postings[j].begin(),
-                    response.postings[j].end());
-      }
-      stats.meta_probes += response.probes;
-      stats.meta_vnodes_queried += response.epochs.size();
-      for (const auto& [vnode, epoch] : response.epochs) {
-        (void)vnode;
-        stats.meta_max_epoch = std::max(stats.meta_max_epoch, epoch);
-      }
-      stats.response_bytes += message->payload.size();
-      if (!round_has_response ||
-          response.ledger.elapsed() > round_critical.elapsed()) {
-        round_critical = response.ledger;
-        round_has_response = true;
-      }
-      {
-        std::lock_guard lock(state_mu_);
-        meta_load_[target] += response.ledger.elapsed();
-      }
-    }
-    if (round_has_response) {
-      stats.max_server_seconds += round_critical.elapsed();
-      stats.max_server_io_seconds += round_critical.io_seconds;
-      stats.max_server_cpu_seconds += round_critical.cpu_seconds;
-      stats.max_server_scan_seconds += round_critical.scan_seconds;
-      stats.max_server_merge_seconds += round_critical.merge_seconds;
+    for (const std::size_t i : lost) {
+      requeued.insert(requeued.end(), request_pending[i].begin(),
+                      request_pending[i].end());
     }
     if (!requeued.empty()) {
       log_warn("meta query degraded: ", requeued.size(),
@@ -247,17 +187,12 @@ Result<std::vector<ObjectId>> QueryService::meta_query(
     }
     pending = std::move(requeued);
   }
-  stats.dead_servers = dead_servers().size();
 
-  // Responses stream back to the one client NIC.
-  stats.net_seconds +=
-      cost.net_latency_s +
-      static_cast<double>(stats.response_bytes) / cost.net_bandwidth_bps;
+  op.charge_responses();
 
   // Client-side merge: union each condition's per-vnode lists, then
   // intersect across conditions smallest-first.
-  obs::ScopedSpan merge_span(query_span.context(), "client.meta_merge",
-                             "client");
+  obs::ScopedSpan merge_span(op.trace(), "client.meta_merge", "client");
   std::uint64_t merged_elements = 0;
   for (std::vector<ObjectId>& list : postings) {
     merged_elements += list.size();
@@ -274,33 +209,22 @@ Result<std::vector<ObjectId>> QueryService::meta_query(
                           postings[i].end(), std::back_inserter(scratch));
     result.swap(scratch);
   }
-  stats.client_cpu_seconds +=
-      2.0 * cost.scan_cost(merged_elements * sizeof(ObjectId));
+  op.stats.client_cpu_seconds +=
+      2.0 * op.cost.scan_cost(merged_elements * sizeof(ObjectId));
   merge_span.arg("postings", static_cast<double>(merged_elements));
   merge_span.close();
-
-  stats.sim_elapsed_seconds = stats.net_seconds + stats.max_server_seconds +
-                              stats.client_cpu_seconds;
-  if (opts.trace) {
-    query_span.arg("sim_elapsed_s", stats.sim_elapsed_seconds);
-    query_span.arg("num_hits", static_cast<double>(result.size()));
-    query_span.close();
-    publish_trace(tracer, /*traced=*/true);
-  }
+  op.arg("num_hits", static_cast<double>(result.size()));
   return result;
 }
 
-Status QueryService::meta_apply_update(ObjectId object,
+Status QueryService::meta_apply_update(OpScope& op, ObjectId object,
                                        std::string_view attribute,
-                                       meta::MetaValue value,
-                                       const QueryOptions& opts,
-                                       OpStats* stats_out) {
+                                       meta::MetaValue value) {
   if (meta_shards_.empty()) {
     return Status::FailedPrecondition(
         "no metadata service in this deployment; set "
         "ServiceOptions::metadata");
   }
-  const CostModel& cost = store_.cluster().config().cost;
   const std::optional<meta::MetaValue> old_value =
       options_.metadata->get_attribute(object, attribute);
   // Affected vnodes: wherever the new value will be indexed, plus wherever
@@ -315,12 +239,12 @@ Status QueryService::meta_apply_update(ObjectId object,
     vnodes.erase(std::unique(vnodes.begin(), vnodes.end()), vnodes.end());
   }
 
-  server::MetaUpdateOpWire op;
-  op.object = object;
-  op.attribute = std::string(attribute);
-  op.has_old = old_value.has_value();
-  if (old_value.has_value()) op.old_value = *old_value;
-  op.new_value = value;
+  server::MetaUpdateOpWire update;
+  update.object = object;
+  update.attribute = std::string(attribute);
+  update.has_old = old_value.has_value();
+  if (old_value.has_value()) update.old_value = *old_value;
+  update.new_value = value;
 
   for (const std::uint32_t vnode : vnodes) {
     // Client-assigned per-vnode sequence: every replica sees the same seq,
@@ -333,11 +257,11 @@ Status QueryService::meta_apply_update(ObjectId object,
     server::MetaUpdateRequest request;
     request.vnode = vnode;
     request.seq = seq;
-    request.ops.push_back(op);
+    request.ops.push_back(update);
     const std::vector<std::uint8_t> bytes = request.serialize();
 
     const std::vector<bool> dead = dead_snapshot();
-    std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests;
+    Requests requests;
     for (const ServerId r : meta::replicas_of(vnode, meta_ring_)) {
       if (!dead[r]) requests.emplace_back(r, bytes);
     }
@@ -345,58 +269,25 @@ Status QueryService::meta_apply_update(ObjectId object,
       return Status::Unavailable("metadata vnode " + std::to_string(vnode) +
                                  " lost all replicas");
     }
-    if (stats_out != nullptr) {
-      stats_out->request_bytes += bytes.size() * requests.size();
-      // Replica copies travel in parallel: one message's cost, not the sum.
-      stats_out->net_seconds += cost.net_cost(bytes.size());
-    }
-    const rpc::GatherResult gathered =
-        client_.gather(requests, obs::TraceContext{}, opts.tenant);
-    if (gathered.bus_closed) {
-      return Status::Unavailable("message bus shut down mid-update");
-    }
-    if (stats_out != nullptr) {
-      stats_out->retries += gathered.stats.retries;
-      stats_out->timeouts += gathered.stats.timeouts;
-      stats_out->sheds += gathered.stats.sheds;
-    }
-    bool acknowledged = false;
-    double round_max = 0.0;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const ServerId target = requests[i].first;
-      const auto& message = gathered.responses[i];
-      if (!message.has_value()) {
-        if (gathered.shed[i]) {
-          return Status::Overloaded("server " + std::to_string(target) +
-                                    " shed the metadata update; retry later");
-        }
-        // A dead replica stays dead for the service lifetime, so its shard
-        // never serves again — missing this update is harmless.
-        mark_dead(target);
-        continue;
-      }
-      SerialReader reader(message->payload);
-      PDC_ASSIGN_OR_RETURN(server::MetaUpdateResponse response,
-                           server::MetaUpdateResponse::Deserialize(reader));
-      PDC_RETURN_IF_ERROR(response.status);
-      acknowledged = true;
-      round_max = std::max(round_max, response.ledger.elapsed());
-      if (stats_out != nullptr) {
-        stats_out->response_bytes += message->payload.size();
-        stats_out->meta_max_epoch =
-            std::max(stats_out->meta_max_epoch, response.epoch);
-        stats_out->meta_vnodes_queried += 1;
-      }
-    }
-    if (!acknowledged) {
+    // Updates travel untraced.  A replica that dies here stays dead for the
+    // service lifetime, so its shard never serves again — missing this
+    // update is harmless as long as one replica acknowledged it.
+    PDC_ASSIGN_OR_RETURN(
+        const std::vector<std::size_t> lost,
+        op.round<server::MetaUpdateResponse>(
+            obs::TraceContext{}, requests,
+            [&](std::size_t, server::MetaUpdateResponse& response) -> Status {
+              PDC_RETURN_IF_ERROR(response.status);
+              op.stats.meta_max_epoch =
+                  std::max(op.stats.meta_max_epoch, response.epoch);
+              op.stats.meta_vnodes_queried += 1;
+              return Status::Ok();
+            }));
+    if (lost.size() == requests.size()) {
       return Status::Unavailable("metadata vnode " + std::to_string(vnode) +
                                  " lost all replicas");
     }
-    if (stats_out != nullptr) {
-      stats_out->max_server_seconds += round_max;
-      stats_out->max_server_cpu_seconds += round_max;
-      stats_out->net_seconds += cost.net_latency_s;
-    }
+    op.stats.net_seconds += op.cost.net_latency_s;
   }
 
   // The authoritative copy is written LAST — only after every affected
@@ -410,22 +301,10 @@ Status QueryService::meta_set_attribute(ObjectId object,
                                         std::string_view attribute,
                                         meta::MetaValue value,
                                         const QueryOptions& opts) {
-  WallTimer wall;
-  OpStats stats;
-  struct Publisher {
-    QueryService* service;
-    OpStats* stats;
-    WallTimer* wall;
-    ~Publisher() {
-      stats->wall_seconds = wall->elapsed_seconds();
-      service->publish_stats(*stats);
-    }
-  } publisher{this, &stats, &wall};
-  PDC_RETURN_IF_ERROR(
-      meta_apply_update(object, attribute, std::move(value), opts, &stats));
-  stats.dead_servers = dead_servers().size();
-  stats.sim_elapsed_seconds = stats.net_seconds + stats.max_server_seconds;
-  return Status::Ok();
+  // Metadata updates are not traced (see meta_apply_update).
+  OpScope op(*this, QueryOptions{.trace = false, .tenant = opts.tenant},
+             "client.meta_update");
+  return meta_apply_update(op, object, attribute, std::move(value));
 }
 
 }  // namespace pdc::query

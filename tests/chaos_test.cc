@@ -6,8 +6,10 @@
 // every test binary.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -883,6 +885,103 @@ TEST_F(ChaosTest, MetadataAllServersDeadReturnsUnavailable) {
   auto result = service.meta_query(meta_exact());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+}
+
+// ------------------------------------------- traces of failed and empty ops
+
+/// The last published trace is one closed, well-formed tree rooted at the
+/// operation's own span.
+void expect_trace_rooted_at(const query::QueryService& service,
+                            std::string_view root_name) {
+  const std::shared_ptr<const obs::Trace> trace = service.last_trace();
+  ASSERT_NE(trace, nullptr);
+  const Status valid = obs::validate_trace(*trace);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  std::size_t roots = 0;
+  for (const obs::Span& span : trace->spans) {
+    if (span.parent != 0) continue;
+    ++roots;
+    EXPECT_EQ(span.name, root_name);
+  }
+  EXPECT_EQ(roots, 1u);
+}
+
+TEST_F(ChaosTest, TracedAllDeadQueryPublishesItsTrace) {
+  rpc::FaultPlan plan;
+  for (ServerId s = 0; s < 4; ++s) {
+    plan.server_faults.push_back({s, /*after_requests=*/0,
+                                  rpc::ServerFate::kKilled});
+  }
+  rpc::FaultInjector injector(plan);
+  query::ServiceOptions options;
+  options.num_servers = 4;
+  options.fault_injector = &injector;
+  options.retry = tight_retry();
+  options.retry.attempt_timeout = std::chrono::milliseconds(50);
+  options.retry.max_attempts = 2;
+  query::QueryService service(*store_, options);
+
+  auto result = service.get_num_hits(make_query(1.0, 9.0), {.trace = true});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  expect_trace_rooted_at(service, "client.query");
+}
+
+TEST_F(ChaosTest, TracedShedQueryPublishesItsTrace) {
+  // One server with one slot and a one-deep queue, kept full by untraced
+  // background queries; a single attempt per request, so the first shed
+  // fails the traced probe with kOverloaded.
+  query::ServiceOptions options;
+  options.num_servers = 1;
+  options.strategy = server::Strategy::kFullScan;
+  options.eval_threads = 1;
+  options.max_inflight = 1;
+  options.queue_limit = 1;
+  options.retry = tight_retry();
+  options.retry.attempt_timeout = std::chrono::milliseconds(2000);
+  options.retry.max_attempts = 1;
+  query::QueryService service(*store_, options);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> load;
+  for (int t = 0; t < 3; ++t) {
+    load.emplace_back([&] {
+      while (!stop.load()) (void)service.get_num_hits(make_query(1.0, 9.0));
+    });
+  }
+  Status status;
+  for (int probe = 0; probe < 500 && status.code() != StatusCode::kOverloaded;
+       ++probe) {
+    status = service.get_num_hits(make_query(1.0, 9.0), {.trace = true})
+                 .status();
+  }
+  stop = true;
+  for (std::thread& t : load) t.join();
+  ASSERT_EQ(status.code(), StatusCode::kOverloaded) << status.ToString();
+  expect_trace_rooted_at(service, "client.query");
+  // The shedding server's baggage survives into the failed op's trace.
+  std::size_t sheds = 0;
+  for (const obs::Span& span : service.last_trace()->spans) {
+    sheds += span.name == "server.shed";
+  }
+  EXPECT_GE(sheds, 1u);
+}
+
+TEST_F(ChaosTest, TracedEmptyMetaQueryPublishesClosedTrace) {
+  meta::MetaStore meta;
+  workloads::BossMetaConfig cfg;
+  cfg.num_objects = 500;
+  cfg.objects_per_cell = 250;
+  ASSERT_TRUE(workloads::generate_boss_metadata(meta, cfg).ok());
+  query::ServiceOptions options;
+  options.num_servers = 2;
+  options.metadata = &meta;
+  query::QueryService service(*store_, options);
+
+  auto result = service.meta_query({}, {.trace = true});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->empty());
+  expect_trace_rooted_at(service, "client.meta_query");
 }
 
 }  // namespace

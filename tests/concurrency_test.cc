@@ -197,6 +197,43 @@ TEST(ThreadPoolTest, StatsCountersAreConsistent) {
   EXPECT_GE(stats.queue_peak, 1u);
 }
 
+TEST(ThreadPoolTest, QueuePeakNeverExceedsSubmittedUnderContention) {
+  // Regression: submit() counted a task as queued only after pushing it,
+  // so a worker could pop it and decrement first; with the queue near
+  // empty the counter wrapped below zero and the peak read ~1.8e19.  Many
+  // more submitters than cores get preempted inside that window, and the
+  // busy work between submits keeps the workers ahead, so the queue stays
+  // near empty.  Every task spawns a child onto its worker's own deque,
+  // which idle peers steal.
+  ThreadPool pool(4);
+  constexpr int kSubmitters = 16;
+  constexpr int kTasksEach = 10000;
+  std::atomic<std::uint64_t> ran{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&] {
+      TaskGroup group(&pool);
+      for (int i = 0; i < kTasksEach; ++i) {
+        volatile int sink = 0;
+        for (int k = 0; k < 1000; ++k) sink = sink + k;
+        group.spawn([&] {
+          if (ran.fetch_add(1) % 16 == 0) {
+            TaskGroup child(&pool);
+            child.spawn([&] { ran++; });
+            child.wait();
+          }
+        });
+      }
+      group.wait();
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  const exec::PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.submitted, ran.load());
+  EXPECT_GE(stats.queue_peak, 1u);
+  EXPECT_LE(stats.queue_peak, stats.submitted);
+}
+
 // -------------------------------------------------- multi-client stress
 
 /// Small QueryEnv: two correlated float columns with regions, histograms,

@@ -273,6 +273,16 @@ TEST_P(StrategySweep, GetDataBatchConcatenatesToFullResult) {
   for (std::size_t i = 0; i < streamed.size(); ++i) {
     EXPECT_EQ(streamed[i], env_->energy_[selection->positions[i]]);
   }
+
+  // The published total carries every field of every batch, including
+  // the io/cpu split of each round's critical server.
+  const OpStats stats = service_->last_stats();
+  EXPECT_GT(stats.max_server_seconds, 0.0);
+  EXPECT_NEAR(stats.max_server_io_seconds + stats.max_server_cpu_seconds,
+              stats.max_server_seconds, 1e-12 * stats.max_server_seconds);
+  EXPECT_EQ(stats.sim_elapsed_seconds, stats.net_seconds +
+                                           stats.max_server_seconds +
+                                           stats.client_cpu_seconds);
 }
 
 TEST_P(StrategySweep, WrongGetDataBufferSizeRejected) {

@@ -2,7 +2,10 @@
 # ThreadSanitizer job: rebuild the concurrency-heavy test binaries with
 # -fsanitize=thread and run every ctest entry carrying the `tsan` label
 # (rpc_test, chaos_test, concurrency_test, querycheck_test, obs_test,
-# pipeline_test, kernels_test, overload_test, write_path_test).
+# pipeline_test, kernels_test, overload_test, write_path_test, join_test,
+# metacheck_test).  Every tsan-labeled binary must be in the --target list:
+# gtest_discover_tests lists a binary's tests when it is built, so
+# `ctest -L tsan` silently runs none of an unbuilt binary's tests.
 #
 # Usage:  tools/run_tsan.sh [extra ctest args...]
 #
@@ -16,7 +19,8 @@ BUILD_DIR=build-tsan
 cmake -B "${BUILD_DIR}" -S . -DPDC_SANITIZE=thread >/dev/null
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
       --target rpc_test chaos_test concurrency_test querycheck_test obs_test \
-               pipeline_test kernels_test overload_test write_path_test
+               pipeline_test kernels_test overload_test write_path_test \
+               join_test metacheck_test
 
 # halt_on_error keeps the first race report at the top of the log instead
 # of burying it under cascading follow-ups.
