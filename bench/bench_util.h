@@ -1,8 +1,10 @@
-// Shared setup for the figure-reproduction benchmarks.
+// Shared setup for the figure-reproduction benchmarks and the gated suites.
 //
 // Environment knobs (all optional):
-//   PDC_BENCH_PARTICLES  particles in the VPIC dataset (default 2^21)
-//   PDC_BENCH_SERVERS    PDC servers (default 8; Fig. 6 sweeps its own)
+//   PDC_BENCH_PARTICLES  particles in the VPIC dataset (default 2^21;
+//                        figure benches only — gated suites are fixed-size)
+//   PDC_BENCH_SERVERS    PDC servers (default 8; Fig. 6 sweeps its own;
+//                        figure benches only)
 //   PDC_BENCH_DIR        scratch directory (default /tmp/pdc_bench)
 //
 // All reported times are *simulated* seconds from the cost model
@@ -63,8 +65,17 @@ struct BenchWorld {
   workloads::VpicData data;
   std::uint32_t num_servers = 8;
 
+  /// Figure benches: sized by PDC_BENCH_PARTICLES / PDC_BENCH_SERVERS.
   static BenchWorld create(const char* bench_name,
                            std::uint64_t default_particles = 1ull << 21) {
+    return sized(bench_name, env_u64("PDC_BENCH_PARTICLES", default_particles),
+                 static_cast<std::uint32_t>(env_u64("PDC_BENCH_SERVERS", 8)));
+  }
+
+  /// Gated suites: a fixed size, so the gate always measures the
+  /// baseline's configuration.
+  static BenchWorld sized(const char* bench_name, std::uint64_t particles,
+                          std::uint32_t num_servers) {
     BenchWorld world;
     world.scratch_dir = env_str("PDC_BENCH_DIR", "/tmp/pdc_bench") + "/" +
                         bench_name;
@@ -78,10 +89,9 @@ struct BenchWorld {
     world.cluster = unwrap(pfs::PfsCluster::Create(cfg), "PFS create");
 
     workloads::VpicConfig vpic;
-    vpic.num_particles = env_u64("PDC_BENCH_PARTICLES", default_particles);
+    vpic.num_particles = particles;
     world.data = workloads::generate_vpic(vpic);
-    world.num_servers =
-        static_cast<std::uint32_t>(env_u64("PDC_BENCH_SERVERS", 8));
+    world.num_servers = num_servers;
     return world;
   }
 
@@ -97,6 +107,28 @@ struct BenchWorld {
     }
   }
 };
+
+/// One of the paper's single-object queries: lo < Energy < hi (Fig. 3).
+inline query::QueryPtr energy_window(ObjectId energy,
+                                     const workloads::SingleQuerySpec& spec) {
+  return query::q_and(query::create(energy, QueryOp::kGT, spec.lo),
+                      query::create(energy, QueryOp::kLT, spec.hi));
+}
+
+/// The Fig. 4/6 compound query: Energy threshold AND x, y, z windows.
+inline query::QueryPtr vpic_multi_query(const workloads::VpicObjects& objects,
+                                        const workloads::MultiQuerySpec& spec) {
+  using query::create;
+  using query::q_and;
+  query::QueryPtr q = create(objects.energy, QueryOp::kGT, spec.energy_min);
+  q = q_and(q, q_and(create(objects.x, QueryOp::kGT, spec.x_lo),
+                     create(objects.x, QueryOp::kLT, spec.x_hi)));
+  q = q_and(q, q_and(create(objects.y, QueryOp::kGT, spec.y_lo),
+                     create(objects.y, QueryOp::kLT, spec.y_hi)));
+  q = q_and(q, q_and(create(objects.z, QueryOp::kGT, spec.z_lo),
+                     create(objects.z, QueryOp::kLT, spec.z_hi)));
+  return q;
+}
 
 /// Paper-style approach labels in plot order.
 inline constexpr const char* kApproachNames[] = {"HDF5-F", "PDC-F", "PDC-H",

@@ -63,11 +63,10 @@ struct Deployment {
 Measurement run_pdc_query(query::QueryService& service, ObjectId energy,
                           const workloads::SingleQuerySpec& spec,
                           double amortized_read_s) {
-  const QueryPtr q =
-      query::q_and(query::create(energy, QueryOp::kGT, spec.lo),
-                   query::create(energy, QueryOp::kLT, spec.hi));
   Measurement m;
-  auto selection = unwrap(service.get_selection(q), "get_selection");
+  auto selection =
+      unwrap(service.get_selection(energy_window(energy, spec)),
+             "get_selection");
   m.num_hits = selection.num_hits;
   m.query_s = service.last_stats().sim_elapsed_seconds + amortized_read_s;
   if (selection.num_hits > 0) {

@@ -19,20 +19,6 @@ namespace {
 using query::QueryPtr;
 using server::Strategy;
 
-QueryPtr build_query(const workloads::VpicObjects& objects,
-                     const workloads::MultiQuerySpec& spec) {
-  using query::create;
-  using query::q_and;
-  QueryPtr q = create(objects.energy, QueryOp::kGT, spec.energy_min);
-  q = q_and(q, q_and(create(objects.x, QueryOp::kGT, spec.x_lo),
-                     create(objects.x, QueryOp::kLT, spec.x_hi)));
-  q = q_and(q, q_and(create(objects.y, QueryOp::kGT, spec.y_lo),
-                     create(objects.y, QueryOp::kLT, spec.y_hi)));
-  q = q_and(q, q_and(create(objects.z, QueryOp::kGT, spec.z_lo),
-                     create(objects.z, QueryOp::kLT, spec.z_hi)));
-  return q;
-}
-
 }  // namespace
 
 int run() {
@@ -109,7 +95,7 @@ int run() {
     double amortized_read = 0.0;
     if (strategy == Strategy::kFullScan) {
       // Warm the cache with all four objects, amortize the cold read.
-      const QueryPtr warm = build_query(
+      const QueryPtr warm = vpic_multi_query(
           objects, {-1e30, -1e30, 1e30, -1e30, 1e30, -1e30, 1e30});
       unwrap(service.get_num_hits(warm), "warmup");
       amortized_read = service.last_stats().max_server_io_seconds /
@@ -118,7 +104,7 @@ int run() {
     // The optimized strategies run the sequence cold; caches warm up
     // across the sequence exactly as the paper describes (§VI-A).
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      const QueryPtr q = build_query(objects, queries[qi]);
+      const QueryPtr q = vpic_multi_query(objects, queries[qi]);
       auto selection = unwrap(service.get_selection(q), "get_selection");
       const double query_s =
           service.last_stats().sim_elapsed_seconds + amortized_read;

@@ -10,7 +10,6 @@
 namespace pdc::bench {
 namespace {
 
-using query::QueryPtr;
 using server::Strategy;
 
 }  // namespace
@@ -33,18 +32,6 @@ int run() {
 
   // Query 3 of the paper's multi-object set (~0.011 % selectivity regime).
   const auto spec = workloads::vpic_multi_queries()[2];
-  const auto build_query = [&] {
-    using query::create;
-    using query::q_and;
-    QueryPtr q = create(objects.energy, QueryOp::kGT, spec.energy_min);
-    q = q_and(q, q_and(create(objects.x, QueryOp::kGT, spec.x_lo),
-                       create(objects.x, QueryOp::kLT, spec.x_hi)));
-    q = q_and(q, q_and(create(objects.y, QueryOp::kGT, spec.y_lo),
-                       create(objects.y, QueryOp::kLT, spec.y_hi)));
-    q = q_and(q, q_and(create(objects.z, QueryOp::kGT, spec.z_lo),
-                       create(objects.z, QueryOp::kLT, spec.z_hi)));
-    return q;
-  };
 
   print_header("Fig 6: query time vs number of PDC servers (scaled 2-64)",
                "servers approach query_s hits");
@@ -57,7 +44,8 @@ int run() {
       service_options.num_servers = servers;
       query::QueryService service(store, service_options);
       const std::uint64_t hits =
-          unwrap(service.get_num_hits(build_query()), "nhits");
+          unwrap(service.get_num_hits(vpic_multi_query(objects, spec)),
+                 "nhits");
       std::printf("%7u %-7s %10.6f %" PRIu64 "\n", servers,
                   std::string(server::strategy_name(strategy)).c_str(),
                   service.last_stats().sim_elapsed_seconds, hits);

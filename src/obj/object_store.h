@@ -159,13 +159,12 @@ struct ImportOptions {
 /// What a write transfer does to the target object.
 enum class WriteKind : std::uint8_t { kAppend = 0, kOverwrite = 1 };
 
-/// Per-write knobs (server-side policy, surfaced via PDC_COMPACT_THRESHOLD
-/// and PDC_WRITE_NO_MAINT).
+/// Per-write knobs (server-side policy, surfaced via PDC_COMPACT_THRESHOLD).
 struct WriteOptions {
-  /// Maintain the bitmap-index delta sidecar and sorted-replica delta log.
-  /// Off: indexes/replicas simply go stale (queries fall back to scan and
-  /// the planner skips the replica) — correctness is never at stake,
-  /// histograms are always kept sound.
+  /// Maintain the bitmap-index delta sidecar and sorted-replica delta log
+  /// (servers always do).  Off: indexes/replicas simply go stale (queries
+  /// fall back to scan and the planner skips the replica) — correctness is
+  /// never at stake, histograms are always kept sound.
   bool maintain_accelerators = true;
   /// Dirty positions per region at which a write triggers a synchronous
   /// index compaction (full rebuild folding every delta).

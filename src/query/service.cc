@@ -72,10 +72,6 @@ ServiceOptions ServiceOptions::from_env() {
       options.compact_threshold = static_cast<std::uint64_t>(threshold);
     }
   }
-  if (const char* env = std::getenv("PDC_WRITE_NO_MAINT")) {
-    const std::string value(env);
-    options.write_no_maint = value == "1" || value == "true";
-  }
   if (const char* env = std::getenv("PDC_REPLICA_REBUILD_THRESHOLD")) {
     const long threshold = std::strtol(env, nullptr, 10);
     if (threshold >= 0 && threshold <= 1 << 24) {
@@ -149,15 +145,12 @@ QueryService::QueryService(const obj::ObjectStore& store,
     server_options.id = s;
     server_options.num_servers = options_.num_servers;
     server_options.cache_capacity_bytes = options_.cache_capacity_bytes;
-    server_options.index_cache_capacity_bytes =
-        options_.index_cache_capacity_bytes;
     server_options.dense_read_threshold = options_.dense_read_threshold;
     server_options.aggregation = options_.aggregation;
     server_options.pool = pool_.get();
     server_options.metrics = &metrics_;
     server_options.mutable_store = mutable_store_;
     server_options.compact_threshold = options_.compact_threshold;
-    server_options.maintain_accelerators = !options_.write_no_maint;
     server_options.replica_rebuild_threshold =
         options_.replica_rebuild_threshold;
     server_options.exchange = ports_[s].get();

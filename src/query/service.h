@@ -171,9 +171,6 @@ struct ServiceOptions {
   server::Strategy strategy = server::Strategy::kHistogram;
   /// Per-server region cache capacity (paper: 64 GB per server).
   std::uint64_t cache_capacity_bytes = 1ull << 30;
-  /// Per-server cache capacity for serialized index bins.  0 (the default)
-  /// keeps the historical derivation `cache_capacity_bytes / 4`.
-  std::uint64_t index_cache_capacity_bytes = 0;
   /// Dense-read crossover: conjuncts needing more than this fraction of a
   /// region's elements fetch the whole region instead of point reads, and
   /// PDC-A (kAdaptive) picks scan over index probing at the same fraction.
@@ -214,10 +211,6 @@ struct ServiceOptions {
   /// many entries has its bitmap index rebuilt inline with the write that
   /// crossed the line.  0 disables compaction (deltas grow unbounded).
   std::uint64_t compact_threshold = 64;
-  /// True: writes skip incremental index/replica maintenance entirely —
-  /// accelerators go stale (queries scan-fallback / skip the replica)
-  /// until an explicit rebuild.  Histograms are still always maintained.
-  bool write_no_maint = false;
   /// Sorted-replica bulk rebuild once the write delta log reaches this
   /// many entries.  0 disables rebuilds.
   std::uint64_t replica_rebuild_threshold = 4096;
@@ -248,8 +241,7 @@ struct ServiceOptions {
   /// PDC_QUERY_DENSE_THRESHOLD, queue_limit from PDC_QUEUE_LIMIT,
   /// shed_policy from PDC_SHED_POLICY ("reject-new" / "drop-oldest"), and
   /// tenant_weights from PDC_TENANT_WEIGHTS (comma-separated, e.g.
-  /// "3,1,1"), compact_threshold from PDC_COMPACT_THRESHOLD,
-  /// write_no_maint from PDC_WRITE_NO_MAINT ("1"/"true"), and
+  /// "3,1,1"), compact_threshold from PDC_COMPACT_THRESHOLD, and
   /// replica_rebuild_threshold from PDC_REPLICA_REBUILD_THRESHOLD.
   /// Unset/unknown keeps the defaults.  Joins: join_strategy from
   /// PDC_JOIN_STRATEGY ("zone" / "broadcast") and join_shuffle_deadline_ms

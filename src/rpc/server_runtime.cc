@@ -547,41 +547,4 @@ GatherResult Client::gather(
   return result;
 }
 
-std::future<std::vector<Message>> Client::broadcast_collect(
-    std::vector<std::uint8_t> payload) {
-  // Background aggregator: gather one response per server (paper §III-C).
-  return std::async(std::launch::async, [this,
-                                         payload = std::move(payload)] {
-    std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests;
-    requests.reserve(bus_.num_servers());
-    for (ServerId s = 0; s < bus_.num_servers(); ++s) {
-      requests.emplace_back(s, payload);
-    }
-    GatherResult gathered = gather(requests);
-    std::vector<Message> responses;
-    for (auto& r : gathered.responses) {
-      if (r.has_value()) responses.push_back(std::move(*r));
-    }
-    std::sort(responses.begin(), responses.end(),
-              [](const Message& a, const Message& b) {
-                return a.sender < b.sender;
-              });
-    return responses;
-  });
-}
-
-std::vector<Message> Client::scatter_wait(
-    std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests) {
-  GatherResult gathered = gather(requests);
-  std::vector<Message> responses;
-  for (auto& r : gathered.responses) {
-    if (r.has_value()) responses.push_back(std::move(*r));
-  }
-  std::sort(responses.begin(), responses.end(),
-            [](const Message& a, const Message& b) {
-              return a.sender < b.sender;
-            });
-  return responses;
-}
-
 }  // namespace pdc::rpc

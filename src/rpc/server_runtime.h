@@ -27,7 +27,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -229,11 +228,10 @@ struct GatherResult {
 ///
 /// A dedicated receiver thread owns the single client mailbox and
 /// demultiplexes responses to the issuing gather by request id, so any
-/// number of gathers (application threads plus broadcast_collect
-/// background threads) may run concurrently without consuming each
-/// other's responses.  Responses whose request id matches no outstanding
-/// gather are discarded as duplicate/stale.  One Client per bus: the
-/// receiver is the mailbox's only consumer.
+/// number of gathers on any number of threads may run concurrently
+/// without consuming each other's responses.  Responses whose request id
+/// matches no outstanding gather are discarded as duplicate/stale.  One
+/// Client per bus: the receiver is the mailbox's only consumer.
 class Client {
  public:
   explicit Client(MessageBus& bus, RetryPolicy policy = {});
@@ -268,22 +266,6 @@ class Client {
       const std::vector<std::pair<ServerId, std::vector<std::uint8_t>>>&
           requests,
       const obs::TraceContext& trace, std::uint32_t tenant = 0);
-
-  /// Broadcast `payload` and return a future that resolves once every
-  /// server has responded or retries are exhausted.  Responses are ordered
-  /// by server id; unresponsive servers are simply absent.
-  std::future<std::vector<Message>> broadcast_collect(
-      std::vector<std::uint8_t> payload);
-
-  /// Convenience synchronous form.
-  std::vector<Message> broadcast_wait(std::vector<std::uint8_t> payload) {
-    return broadcast_collect(std::move(payload)).get();
-  }
-
-  /// Send distinct payloads to a subset of servers and gather the
-  /// responses that arrived (ordered by server id).
-  std::vector<Message> scatter_wait(
-      std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests);
 
   [[nodiscard]] const RetryPolicy& policy() const noexcept { return policy_; }
 

@@ -34,6 +34,11 @@
 namespace pdc::server {
 namespace {
 
+/// Tuples per exchange batch frame.  Small enough that a corrupted or
+/// dropped frame retransmits cheaply, large enough to amortize envelope
+/// overhead.
+constexpr std::size_t kExchangeBatchTuples = 512;
+
 /// One owned zone's build/probe tuples awaiting the merge join.
 struct ZoneInput {
   std::vector<rpc::JoinTuple> a;
@@ -181,16 +186,16 @@ JoinEvalResponse QueryServer::join_eval(const JoinEvalRequest& request,
   const std::size_t self_slot = slot.at(options_.id);
   rpc::ShuffleStats stats;
   if (multi) {
-    const std::size_t cap =
-        std::max<std::uint32_t>(1, options_.exchange_batch_tuples);
     std::vector<rpc::OutboundFrame> frames;
     for (std::size_t i = 0; i < p; ++i) {
       if (i == self_slot) continue;
       std::uint32_t seq = 0;
       const auto batch_side = [&](const std::vector<rpc::JoinTuple>& tuples,
                                   std::uint8_t side) {
-        for (std::size_t off = 0; off < tuples.size(); off += cap) {
-          const std::size_t n = std::min(cap, tuples.size() - off);
+        for (std::size_t off = 0; off < tuples.size();
+             off += kExchangeBatchTuples) {
+          const std::size_t n =
+              std::min(kExchangeBatchTuples, tuples.size() - off);
           rpc::ExchangeFrame f;
           f.kind = rpc::ExchangeFrameKind::kBatch;
           f.join_id = request.join_id;

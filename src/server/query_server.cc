@@ -602,7 +602,6 @@ TransferWriteResponse QueryServer::transfer_write(
   }
   CostLedger ledger;
   obj::WriteOptions write_options;
-  write_options.maintain_accelerators = options_.maintain_accelerators;
   write_options.compact_threshold = options_.compact_threshold;
   write_options.pool = options_.pool;
   write_options.ledger = &ledger;

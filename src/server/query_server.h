@@ -56,17 +56,8 @@ struct ServerOptions {
   exec::ThreadPool* pool = nullptr;
   /// Memory cap for cached region data (paper: 64 GB per server).
   std::uint64_t cache_capacity_bytes = 1ull << 30;
-  /// Memory cap for cached serialized index bins.  0 (the default) derives
-  /// the historical `cache_capacity_bytes / 4`: bins are far smaller than
-  /// region data, a quarter of the data budget keeps every hot bin
-  /// resident without competing with region caching.
-  std::uint64_t index_cache_capacity_bytes = 0;
   /// Point-read coalescing for candidate checks / scattered get-data.
   pfs::AggregationPolicy aggregation;
-  /// Tighter coalescing for bitmap-bin reads: bins from different regions
-  /// must not be bridged by reading the unneeded bins between them.
-  pfs::AggregationPolicy index_aggregation{.max_gap_bytes = 2048,
-                                           .max_run_bytes = 64ull << 20};
   /// If a conjunct needs more than this fraction of a region's elements,
   /// fetch the whole region (and cache it) instead of point reads.  Also
   /// PDC-A's scan-vs-index crossover (see AdaptiveKnobs).
@@ -83,10 +74,6 @@ struct ServerOptions {
   /// Fold a region's delta-WAH sidecar back into the base index (full
   /// rebuild) once it reaches this many entries.  0 disables compaction.
   std::uint64_t compact_threshold = 64;
-  /// False: writes leave bitmap index and sorted replica stale (scan
-  /// fallback / planner skip) instead of maintaining them incrementally.
-  /// Histograms are ALWAYS maintained — pruning soundness is not a knob.
-  bool maintain_accelerators = true;
   /// Bulk-rebuild the sorted replica once the source's delta log reaches
   /// this many entries.  0 disables rebuilds.
   std::uint64_t replica_rebuild_threshold = 4096;
@@ -99,10 +86,6 @@ struct ServerOptions {
   /// Null = metadata-less deployment: kMetaQuery/kMetaUpdate are rejected
   /// with FailedPrecondition.  Must outlive the server.
   meta::MetaShard* meta_shard = nullptr;
-  /// Tuples per exchange batch frame.  Small enough that a corrupted or
-  /// dropped frame retransmits cheaply, large enough to amortize envelope
-  /// overhead.
-  std::uint32_t exchange_batch_tuples = 512;
 };
 
 class QueryServer {
@@ -112,13 +95,14 @@ class QueryServer {
         options_(options),
         actor_("server" + std::to_string(options.id)),
         cache_(options.cache_capacity_bytes),
-        index_cache_(options.index_cache_capacity_bytes != 0
-                         ? options.index_cache_capacity_bytes
-                         : options.cache_capacity_bytes / 4),
+        // Bins are far smaller than region data: a quarter of the data
+        // budget keeps every hot bin resident without competing with
+        // region caching.
+        index_cache_(options.cache_capacity_bytes / 4),
         pipeline_(RegionPipeline::Env{
             &store_, options_.pool, options_.id, options_.num_servers,
-            options_.aggregation, options_.index_aggregation,
-            options_.dense_read_threshold, &cache_, &index_cache_, &actor_}) {
+            options_.aggregation, options_.dense_read_threshold, &cache_,
+            &index_cache_, &actor_}) {
     register_metrics();
   }
 

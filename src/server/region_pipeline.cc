@@ -18,6 +18,12 @@
 namespace pdc::server {
 namespace {
 
+/// Tighter coalescing for bitmap-bin reads than for data reads: bins from
+/// different regions must not be bridged by reading the unneeded bins
+/// between them.
+constexpr pfs::AggregationPolicy kIndexAggregation{
+    .max_gap_bytes = 2048, .max_run_bytes = 64ull << 20};
+
 /// Scan a region buffer for matches within the global element range
 /// `want` (a sub-extent of `region_extent`); appends global positions.
 void scan_buffer(PdcType type, const std::uint8_t* bytes,
@@ -381,7 +387,7 @@ Status RegionPipeline::read_missing_bins(const obj::ObjectDescriptor& object,
     dests.emplace_back(*buffers.back());
   }
   PDC_RETURN_IF_ERROR(pfs::aggregated_read(index_file, missing_extents, dests,
-                                           env_.index_aggregation,
+                                           kIndexAggregation,
                                            read_ctx(ledger, trace)));
   for (std::size_t k = 0; k < missing_index.size(); ++k) {
     PlannedBin& p = planned[missing_index[k]];

@@ -135,7 +135,6 @@ class RegionPipeline {
     ServerId id = 0;
     std::uint32_t num_servers = 1;
     pfs::AggregationPolicy aggregation;
-    pfs::AggregationPolicy index_aggregation;
     double dense_read_threshold = 0.25;
     RegionCache* data_cache = nullptr;
     RegionCache* index_cache = nullptr;

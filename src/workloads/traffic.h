@@ -16,7 +16,7 @@
 //  * simulate() runs a deterministic virtual-time queueing model (the same
 //    WeightedFairQueue the servers use) over the same schedule.  Its
 //    goodput/latency numbers are bit-stable for a given seed, which is
-//    what the committed BENCH_traffic.json gate compares against.
+//    what the bench gate's committed traffic rows compare against.
 #pragma once
 
 #include <cstdint>

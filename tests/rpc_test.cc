@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -16,6 +17,16 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
 }
 std::string string_of(const std::vector<std::uint8_t>& b) {
   return {b.begin(), b.end()};
+}
+
+/// The same payload once to every server, in server-id order.
+std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> to_all(
+    const MessageBus& bus, const std::vector<std::uint8_t>& payload) {
+  std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests;
+  for (ServerId s = 0; s < bus.num_servers(); ++s) {
+    requests.emplace_back(s, payload);
+  }
+  return requests;
 }
 
 TEST(Mailbox, PushPopFifo) {
@@ -76,12 +87,12 @@ TEST(ServerRuntime, EchoRoundTrip) {
         }));
   }
   Client client(bus);
-  auto responses = client.broadcast_wait(bytes_of("ping"));
-  ASSERT_EQ(responses.size(), 3u);
-  // Sorted by sender id.
+  auto result = client.gather(to_all(bus, bytes_of("ping")));
+  ASSERT_TRUE(result.complete());
+  // Responses line up with the requests, which are in server-id order.
   for (ServerId s = 0; s < 3; ++s) {
-    EXPECT_EQ(responses[s].sender, s);
-    EXPECT_EQ(string_of(responses[s].payload),
+    EXPECT_EQ(result.responses[s]->sender, s);
+    EXPECT_EQ(string_of(result.responses[s]->payload),
               "server" + std::to_string(s) + ":ping");
   }
   servers.clear();
@@ -101,12 +112,13 @@ TEST(ServerRuntime, ScatterToSubset) {
   std::vector<std::pair<ServerId, std::vector<std::uint8_t>>> requests;
   requests.emplace_back(1, bytes_of("one"));
   requests.emplace_back(3, bytes_of("three"));
-  auto responses = client.scatter_wait(std::move(requests));
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_EQ(responses[0].sender, 1u);
-  EXPECT_EQ(string_of(responses[0].payload), "one");
-  EXPECT_EQ(responses[1].sender, 3u);
-  EXPECT_EQ(string_of(responses[1].payload), "three");
+  auto result = client.gather(requests);
+  ASSERT_TRUE(result.complete());
+  ASSERT_EQ(result.responses.size(), 2u);
+  EXPECT_EQ(result.responses[0]->sender, 1u);
+  EXPECT_EQ(string_of(result.responses[0]->payload), "one");
+  EXPECT_EQ(result.responses[1]->sender, 3u);
+  EXPECT_EQ(string_of(result.responses[1]->payload), "three");
   servers.clear();
   bus.shutdown();
 }
@@ -122,13 +134,14 @@ TEST(ServerRuntime, AsyncCollectOverlapsClientWork) {
         }));
   }
   Client client(bus);
-  auto future = client.broadcast_collect(bytes_of("work"));
+  auto future = std::async(std::launch::async, [&] {
+    return client.gather(to_all(bus, bytes_of("work")));
+  });
   // The client thread is free while servers process.
   int side_work = 0;
   for (int i = 0; i < 1000; ++i) side_work += i;
   EXPECT_EQ(side_work, 499500);
-  auto responses = future.get();
-  EXPECT_EQ(responses.size(), 2u);
+  EXPECT_TRUE(future.get().complete());
   servers.clear();
   bus.shutdown();
 }
@@ -289,7 +302,7 @@ TEST(ClientGather, DuplicatedResponsesDiscardedBySequenceId) {
   EXPECT_GT(injector.counters().duplicated, 0u);
 }
 
-// Regression: a gather issued while a broadcast_collect future is still
+// Regression: a gather issued while another thread's gather is still
 // outstanding shares the single client mailbox.  Without serialization the
 // two poppers consume and discard each other's responses as stale, causing
 // spurious timeouts; both must complete with their own responses intact.
@@ -305,15 +318,17 @@ TEST(ClientGather, ConcurrentBroadcastAndGatherDoNotStealResponses) {
   }
   Client client(bus);
   for (int round = 0; round < 10; ++round) {
-    auto future = client.broadcast_collect(bytes_of("bg"));
+    auto future = std::async(std::launch::async, [&] {
+      return client.gather(to_all(bus, bytes_of("bg")));
+    });
     auto result = client.gather({{0, bytes_of("fg0")}, {1, bytes_of("fg1")}});
     ASSERT_TRUE(result.complete()) << "round " << round;
     EXPECT_EQ(string_of(result.responses[0]->payload), "fg0");
     EXPECT_EQ(string_of(result.responses[1]->payload), "fg1");
     EXPECT_EQ(result.stats.timeouts, 0u);
     auto bg = future.get();
-    ASSERT_EQ(bg.size(), 2u) << "round " << round;
-    for (const auto& m : bg) EXPECT_EQ(string_of(m.payload), "bg");
+    ASSERT_TRUE(bg.complete()) << "round " << round;
+    for (const auto& m : bg.responses) EXPECT_EQ(string_of(m->payload), "bg");
   }
   servers.clear();
   bus.shutdown();
@@ -539,9 +554,9 @@ TEST(ServerRuntime, SequentialRequestsProcessedInOrder) {
   });
   Client client(bus);
   for (std::uint8_t i = 0; i < 5; ++i) {
-    auto responses = client.broadcast_wait({i});
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_EQ(responses[0].payload[0], i);
+    auto result = client.gather({{0, {i}}});
+    ASSERT_TRUE(result.complete());
+    EXPECT_EQ(result.responses[0]->payload[0], i);
   }
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
 }

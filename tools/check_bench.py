@@ -1,45 +1,20 @@
 #!/usr/bin/env python3
-"""Perf regression gate over report_json output.
-
-Compares the *simulated* times (deterministic cost-model output, immune to
-machine noise) of a candidate BENCH json against a committed baseline and
-fails when any matched row regresses by more than the threshold.
+"""Bench gate: diff a pdc_bench report against the committed baseline.
 
 Usage:
-    check_bench.py BASELINE.json CANDIDATE.json \
-        [--threshold 0.15] [--sections fig3,fig6] \
-        [--require-strategy PDC-A]
+    check_bench.py BASELINE.json CANDIDATE.json [--threshold 0.15]
 
-Rows are matched by (section, strategy, servers, threads, query).  Rows
-present in only one file are reported but do not fail the gate (new
-configurations may be added over time); a row that exists in both files
-with candidate sim_s > baseline sim_s * (1 + threshold) fails.  wall_s is
-ignored: wall clock on shared CI boxes is noise, the simulated model is
-the claim being protected.
+Each file holds one `machine` stanza and a list of rows
+{suite, case, metric, unit, better, kind, value}, matched by
+(suite, case, metric).  A baseline row fails when the candidate is worse
+by more than the threshold in the row's `better` direction, or when the
+candidate has no such row.  `kind: sim` rows are deterministic model
+output and always compared; `kind: wall` rows measure the host, so they
+are compared only when both machine stanzas match and skipped otherwise.
+Candidate rows absent from the baseline are reported but not gated.
 
---require-strategy NAME (repeatable) additionally fails the gate when the
-candidate has no row for the named strategy in any compared section —
-protecting against a new strategy silently dropping out of the bench.
-
---traffic switches to overload-robustness mode: rows come from the
-"traffic" section of traffic_bench output, matched by (arrival, load).
-Both numbers are deterministic virtual-time model output.  A row fails
-when its tail latency regresses (p99_s > baseline * (1 + threshold)) or
-its goodput under load drops (goodput_qps < baseline * (1 - threshold)).
-
---kernels switches to wall-clock kernel mode (kernels_bench output).
-These ARE machine-dependent, so every check is conditioned on the
-"machine" stanza each JSON records:
-  * SIMD floors (candidate only): scan_f32 avx2 >= 4x scalar GB/s and
-    wah_expand avx2 >= 2x scalar MB/s — applied only when the candidate
-    machine has AVX2, otherwise note-skipped.
-  * Parallel-build floor (candidate only): sortrep_build at 8 threads
-    >= 3x faster than at 1 thread — applied only when the candidate has
-    >= 8 hardware threads, otherwise note-skipped.
-  * Throughput regression vs baseline: a kernel row's GB/s / MB/s /
-    Mprobes/s dropping more than the threshold fails — applied only when
-    baseline and candidate were recorded on matching machines (same
-    hardware_threads and avx2 flag), otherwise note-skipped.
+The suites' own claims (orderings, floors, determinism) are not checked
+here: pdc_bench checks them itself and exits non-zero on a violation.
 """
 
 import argparse
@@ -47,465 +22,64 @@ import json
 import sys
 
 
-def load_rows(path, sections):
+def load(path):
     with open(path) as f:
         doc = json.load(f)
-    rows = {}
-    for section in sections:
-        for row in doc.get(section, []):
-            key = (section, row["strategy"], row["servers"], row["threads"],
-                   row["query"])
-            rows[key] = row
-    return rows
+    rows = {(r["suite"], r["case"], r["metric"]): r for r in doc["rows"]}
+    return doc.get("machine", {}), rows
 
 
-def load_traffic_rows(path):
-    with open(path) as f:
-        doc = json.load(f)
-    return {("traffic", row["arrival"], row["load"]): row
-            for row in doc.get("traffic", [])}
+def worse(better, base, cand, threshold):
+    if better == "lower":
+        return cand > base * (1.0 + threshold)
+    return cand < base * (1.0 - threshold)
 
 
-def check_traffic(args):
-    base = load_traffic_rows(args.baseline)
-    cand = load_traffic_rows(args.candidate)
-    failures = []
-    compared = 0
-    for key, base_row in sorted(base.items()):
-        cand_row = cand.get(key)
-        if cand_row is None:
-            print(f"note: {key} missing from candidate (skipped)")
-            continue
-        compared += 1
-        label = "/".join(str(k) for k in key)
-        checks = [
-            ("p99_s", base_row["p99_s"], cand_row["p99_s"],
-             cand_row["p99_s"] > base_row["p99_s"] * (1.0 + args.threshold)),
-            ("goodput_qps", base_row["goodput_qps"], cand_row["goodput_qps"],
-             cand_row["goodput_qps"] <
-             base_row["goodput_qps"] * (1.0 - args.threshold)),
-        ]
-        for metric, b, c, failed in checks:
-            marker = ""
-            if failed:
-                failures.append((key, metric))
-                marker = "  <-- REGRESSION"
-            rel = (c - b) / b if b > 0 else 0.0
-            print(f"{label:28s} {metric:12s} base {b:12.6f}  "
-                  f"cand {c:12.6f}  {rel:+7.1%}{marker}")
-    for key in sorted(set(cand) - set(base)):
-        print(f"note: {key} new in candidate (not gated)")
-    if compared == 0:
-        print("FAIL: no comparable traffic rows — wrong files?")
-        return 1
-    if failures:
-        print(f"FAIL: {len(failures)} traffic metrics regressed more than "
-              f"{args.threshold:.0%}")
-        return 1
-    print(f"OK: {compared} traffic rows within {args.threshold:.0%} "
-          f"of baseline")
-    return 0
-
-
-def load_write_rows(path):
-    with open(path) as f:
-        doc = json.load(f)
-    return {("writes", row["strategy"], row["write_fraction"]): row
-            for row in doc.get("writes", [])}
-
-
-def check_writes(args):
-    base = load_write_rows(args.baseline)
-    cand = load_write_rows(args.candidate)
-    failures = []
-    compared = 0
-    for key, base_row in sorted(base.items()):
-        cand_row = cand.get(key)
-        if cand_row is None:
-            print(f"note: {key} missing from candidate (skipped)")
-            continue
-        compared += 1
-        label = "/".join(str(k) for k in key)
-        checks = [("read_sim_s", base_row["read_sim_s"],
-                   cand_row["read_sim_s"])]
-        # Write cost is only meaningful on cells that actually write.
-        if base_row.get("write_ops", 0) > 0:
-            checks.append(("write_sim_s", base_row["write_sim_s"],
-                           cand_row["write_sim_s"]))
-        for metric, b, c in checks:
-            regressed = c > b * (1.0 + args.threshold)
-            marker = ""
-            if regressed:
-                failures.append((key, metric))
-                marker = "  <-- REGRESSION"
-            rel = (c - b) / b if b > 0 else 0.0
-            print(f"{label:28s} {metric:12s} base {b:12.6f}  "
-                  f"cand {c:12.6f}  {rel:+7.1%}{marker}")
-    for key in sorted(set(cand) - set(base)):
-        print(f"note: {key} new in candidate (not gated)")
-    if compared == 0:
-        print("FAIL: no comparable write rows — wrong files?")
-        return 1
-    # The pure-read column must exist: it pins the read path's cost while
-    # the write machinery is present but idle.
-    if not any(key[2] == 0.0 for key in cand):
-        print("FAIL: candidate has no write_fraction=0 rows — the "
-              "read-only baseline dropped out of the bench")
-        return 1
-    if failures:
-        print(f"FAIL: {len(failures)} write-sweep metrics regressed more "
-              f"than {args.threshold:.0%}")
-        return 1
-    print(f"OK: {compared} write-sweep rows within {args.threshold:.0%} "
-          f"of baseline")
-    return 0
-
-
-def load_join_rows(path):
-    with open(path) as f:
-        doc = json.load(f)
-    return {("join", row["strategy"], row["servers"], row["sources"]): row
-            for row in doc.get("join", [])}
-
-
-def check_join(args):
-    """Join-sweep mode: sim_s regression diff plus hard invariants on the
-    candidate alone — both strategies must produce the same pair count in
-    every (servers, sources) cell, and zone-shuffle must ship strictly
-    fewer bytes than broadcast wherever >= 4 servers participate (the
-    core claim of the zones algorithm over naive broadcast)."""
-    base = load_join_rows(args.baseline)
-    cand = load_join_rows(args.candidate)
-    failures = []
-    compared = 0
-    for key, base_row in sorted(base.items()):
-        cand_row = cand.get(key)
-        if cand_row is None:
-            print(f"note: {key} missing from candidate (skipped)")
-            continue
-        compared += 1
-        label = "/".join(str(k) for k in key)
-        b, c = base_row["sim_s"], cand_row["sim_s"]
-        regressed = c > b * (1.0 + args.threshold)
-        if regressed:
-            failures.append((key, "sim_s"))
-        rel = (c - b) / b if b > 0 else 0.0
-        print(f"{label:32s} sim_s  base {b:12.6f}  cand {c:12.6f}  "
-              f"{rel:+7.1%}{'  <-- REGRESSION' if regressed else ''}")
-    for key in sorted(set(cand) - set(base)):
-        print(f"note: {key} new in candidate (not gated)")
-
-    # Hard invariants over the candidate, independent of any baseline.
-    cells = sorted({(k[2], k[3]) for k in cand})
-    for servers, sources in cells:
-        zone = cand.get(("join", "zone", servers, sources))
-        bcast = cand.get(("join", "broadcast", servers, sources))
-        if zone is None or bcast is None:
-            failures.append(((servers, sources), "missing strategy row"))
-            print(f"FAILCHECK {servers}srv/{sources}: a strategy row "
-                  f"dropped out of the bench")
-            continue
-        if zone["pairs"] != bcast["pairs"]:
-            failures.append(((servers, sources), "pair count mismatch"))
-            print(f"FAILCHECK {servers}srv/{sources}: zone pairs "
-                  f"{zone['pairs']} != broadcast pairs {bcast['pairs']}")
-        if servers >= 4 and zone["shuffle_bytes"] >= bcast["shuffle_bytes"]:
-            failures.append(((servers, sources), "zone shuffle not smaller"))
-            print(f"FAILCHECK {servers}srv/{sources}: zone shuffle "
-                  f"{zone['shuffle_bytes']}B >= broadcast "
-                  f"{bcast['shuffle_bytes']}B")
-        if servers >= 2 and bcast["shuffle_bytes"] == 0:
-            failures.append(((servers, sources), "broadcast shipped 0B"))
-            print(f"FAILCHECK {servers}srv/{sources}: broadcast shipped "
-                  f"nothing — exchange accounting broken")
-
-    if compared == 0 and not cells:
-        print("FAIL: no join rows — wrong files?")
-        return 1
-    if failures:
-        print(f"FAIL: {len(failures)} join checks failed "
-              f"(threshold {args.threshold:.0%})")
-        return 1
-    print(f"OK: {compared} join rows within {args.threshold:.0%} of "
-          f"baseline; invariants hold in {len(cells)} cells")
-    return 0
-
-
-KERNEL_METRICS = ("gb_per_s", "mb_per_s", "mprobes_per_s")
-
-
-def load_meta_rows(path):
-    with open(path) as f:
-        doc = json.load(f)
-    return {("meta", row["shape"], row["servers"], row["objects"]): row
-            for row in doc.get("meta", [])}
-
-
-def check_meta(args):
-    """Metadata-scaling mode: sim_s regression diff plus hard invariants
-    on the candidate alone — for every (shape, servers) the trie query at
-    the largest catalog must cost <= 3x the smallest catalog (traversal is
-    O(pattern + output), not O(objects)); the modeled linear oracle must
-    actually scale linearly (>= half the catalog ratio); and every server
-    count must report the same hit count per (shape, objects)."""
-    base = load_meta_rows(args.baseline)
-    cand = load_meta_rows(args.candidate)
-    failures = []
-    compared = 0
-    for key, base_row in sorted(base.items()):
-        cand_row = cand.get(key)
-        if cand_row is None:
-            print(f"note: {key} missing from candidate (skipped)")
-            continue
-        compared += 1
-        label = "/".join(str(k) for k in key)
-        b, c = base_row["sim_s"], cand_row["sim_s"]
-        regressed = c > b * (1.0 + args.threshold)
-        if regressed:
-            failures.append((key, "sim_s"))
-        rel = (c - b) / b if b > 0 else 0.0
-        print(f"{label:32s} sim_s  base {b:12.9f}  cand {c:12.9f}  "
-              f"{rel:+7.1%}{'  <-- REGRESSION' if regressed else ''}")
-    for key in sorted(set(cand) - set(base)):
-        print(f"note: {key} new in candidate (not gated)")
-
-    # Hard invariants over the candidate, independent of any baseline.
-    shapes = sorted({k[1] for k in cand})
-    servers = sorted({k[2] for k in cand})
-    sizes = sorted({k[3] for k in cand})
-    if len(sizes) >= 2:
-        small, large = sizes[0], sizes[-1]
-        ratio = large / small
-        for shape in shapes:
-            for srv in servers:
-                lo = cand.get(("meta", shape, srv, small))
-                hi = cand.get(("meta", shape, srv, large))
-                if lo is None or hi is None:
-                    failures.append(((shape, srv), "missing size row"))
-                    print(f"FAILCHECK {shape}/{srv}srv: a catalog-size row "
-                          f"dropped out of the bench")
-                    continue
-                if hi["sim_s"] > 3.0 * lo["sim_s"]:
-                    failures.append(((shape, srv), "trie not flat"))
-                    print(f"FAILCHECK {shape}/{srv}srv: trie sim_s at "
-                          f"{large} = {hi['sim_s']:.9f} > 3x "
-                          f"{lo['sim_s']:.9f} at {small}")
-                if hi["oracle_s"] < 0.5 * ratio * lo["oracle_s"]:
-                    failures.append(((shape, srv), "oracle not linear"))
-                    print(f"FAILCHECK {shape}/{srv}srv: oracle_s grew "
-                          f"{hi['oracle_s'] / lo['oracle_s']:.1f}x over a "
-                          f"{ratio:.0f}x catalog — not a linear model")
-                if hi["sim_s"] >= hi["oracle_s"]:
-                    failures.append(((shape, srv), "trie not beating oracle"))
-                    print(f"FAILCHECK {shape}/{srv}srv: trie sim_s "
-                          f"{hi['sim_s']:.9f} >= oracle "
-                          f"{hi['oracle_s']:.9f} at {large} objects")
-    for shape in shapes:
-        for size in sizes:
-            hits = {cand[("meta", shape, srv, size)]["hits"]
-                    for srv in servers
-                    if ("meta", shape, srv, size) in cand}
-            if len(hits) > 1:
-                failures.append(((shape, size), "hit counts disagree"))
-                print(f"FAILCHECK {shape}/{size}: server counts disagree "
-                      f"on hits: {sorted(hits)}")
-
-    if compared == 0 and not cand:
-        print("FAIL: no meta rows — wrong files?")
-        return 1
-    if failures:
-        print(f"FAIL: {len(failures)} metadata checks failed "
-              f"(threshold {args.threshold:.0%})")
-        return 1
-    print(f"OK: {compared} meta rows within {args.threshold:.0%} of "
-          f"baseline; flat-trie, linear-oracle and hit-agreement "
-          f"invariants hold")
-    return 0
-
-
-def kernel_metric(row):
-    for name in KERNEL_METRICS:
-        if name in row:
-            return name, row[name]
-    raise KeyError(f"kernel row without a throughput metric: {row}")
-
-
-def check_kernels(args):
-    with open(args.baseline) as f:
-        base_doc = json.load(f)
-    with open(args.candidate) as f:
-        cand_doc = json.load(f)
-    cand_machine = cand_doc.get("machine", {})
-    base_machine = base_doc.get("machine", {})
-    failures = []
-
-    cand_kernels = {(r["name"], r["backend"]): r
-                    for r in cand_doc.get("kernels", [])}
-    cand_builds = {(r["name"], r["threads"]): r["seconds"]
-                   for r in cand_doc.get("builds", [])}
-
-    # ---- SIMD floors (candidate only, AVX2 hardware only) ----
-    floors = [("scan_f32", 4.0), ("wah_expand", 2.0)]
-    if cand_machine.get("avx2"):
-        for name, floor in floors:
-            scalar = cand_kernels.get((name, "scalar"))
-            simd = cand_kernels.get((name, "avx2"))
-            if scalar is None or simd is None:
-                failures.append((name, "missing scalar/avx2 rows"))
-                continue
-            _, s = kernel_metric(scalar)
-            _, v = kernel_metric(simd)
-            speedup = v / s if s > 0 else 0.0
-            ok = speedup >= floor
-            if not ok:
-                failures.append((name, f"avx2 speedup {speedup:.2f}x "
-                                       f"< {floor:.0f}x floor"))
-            print(f"{name:16s} avx2/scalar {speedup:6.2f}x  "
-                  f"(floor {floor:.0f}x){'' if ok else '  <-- BELOW FLOOR'}")
-    else:
-        print("note: candidate machine has no AVX2 — SIMD floors skipped")
-
-    # ---- parallel-build floor (candidate only, >= 8 hw threads) ----
-    if cand_machine.get("hardware_threads", 0) >= 8:
-        s1 = cand_builds.get(("sortrep_build", 1))
-        s8 = cand_builds.get(("sortrep_build", 8))
-        if s1 is None or s8 is None:
-            failures.append(("sortrep_build", "missing 1/8-thread rows"))
-        else:
-            speedup = s1 / s8 if s8 > 0 else 0.0
-            ok = speedup >= 3.0
-            if not ok:
-                failures.append(("sortrep_build",
-                                 f"8-thread speedup {speedup:.2f}x < 3x"))
-            print(f"{'sortrep_build':16s} 1t/8t       {speedup:6.2f}x  "
-                  f"(floor 3x){'' if ok else '  <-- BELOW FLOOR'}")
-    else:
-        print(f"note: candidate has "
-              f"{cand_machine.get('hardware_threads', 0)} hardware threads "
-              f"— 8-thread build floor skipped")
-
-    # ---- throughput regression vs baseline (matching machines only) ----
-    same_machine = (
-        base_machine.get("hardware_threads") ==
-        cand_machine.get("hardware_threads") and
-        base_machine.get("avx2") == cand_machine.get("avx2"))
-    compared = 0
-    if same_machine:
-        for key, base_row in sorted(
-                {(r["name"], r["backend"]): r
-                 for r in base_doc.get("kernels", [])}.items()):
-            cand_row = cand_kernels.get(key)
-            if cand_row is None:
-                print(f"note: {key} missing from candidate (skipped)")
-                continue
-            compared += 1
-            metric, b = kernel_metric(base_row)
-            _, c = kernel_metric(cand_row)
-            rel = (c - b) / b if b > 0 else 0.0
-            regressed = c < b * (1.0 - args.threshold)
-            if regressed:
-                failures.append((key, f"{metric} {rel:+.1%}"))
-            print(f"{'/'.join(key):24s} {metric:12s} base {b:10.3f}  "
-                  f"cand {c:10.3f}  {rel:+7.1%}"
-                  f"{'  <-- REGRESSION' if regressed else ''}")
-    else:
-        print("note: baseline recorded on a different machine "
-              f"(base {base_machine.get('hardware_threads')}t/"
-              f"avx2={base_machine.get('avx2')}, "
-              f"cand {cand_machine.get('hardware_threads')}t/"
-              f"avx2={cand_machine.get('avx2')}) — regression diff skipped")
-
-    if failures:
-        for what, why in failures:
-            print(f"FAIL: {what}: {why}")
-        return 1
-    print(f"OK: kernel floors satisfied"
-          f"{f', {compared} rows within {args.threshold:.0%}' if compared else ''}")
-    return 0
-
-
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
     parser.add_argument("candidate")
     parser.add_argument("--threshold", type=float, default=0.15,
-                        help="max allowed relative sim_s regression")
-    parser.add_argument("--sections", default="fig3,fig6",
-                        help="comma-separated row sections to compare")
-    parser.add_argument("--require-strategy", action="append", default=[],
-                        metavar="NAME",
-                        help="fail unless the candidate has rows for this "
-                             "strategy (repeatable)")
-    parser.add_argument("--traffic", action="store_true",
-                        help="compare traffic_bench output (goodput + p99 "
-                             "by arrival/load) instead of figure rows")
-    parser.add_argument("--kernels", action="store_true",
-                        help="compare kernels_bench output (wall-clock SIMD "
-                             "floors + machine-matched throughput diff)")
-    parser.add_argument("--writes", action="store_true",
-                        help="compare writes_bench output (simulated "
-                             "read/write cost by strategy and write "
-                             "fraction)")
-    parser.add_argument("--join", action="store_true",
-                        help="compare join_bench output (simulated join "
-                             "cost by strategy/servers/sources, plus "
-                             "zone-vs-broadcast shuffle invariants)")
-    parser.add_argument("--meta", action="store_true",
-                        help="compare meta_bench output (simulated metadata "
-                             "query cost by shape/servers/objects, plus "
-                             "flat-trie vs linear-oracle invariants)")
-    args = parser.parse_args()
+                        help="max allowed relative regression per row")
+    args = parser.parse_args(argv)
 
-    if args.traffic:
-        return check_traffic(args)
-    if args.kernels:
-        return check_kernels(args)
-    if args.writes:
-        return check_writes(args)
-    if args.join:
-        return check_join(args)
-    if args.meta:
-        return check_meta(args)
+    base_machine, base = load(args.baseline)
+    cand_machine, cand = load(args.candidate)
+    same_machine = base_machine == cand_machine
+    if not same_machine:
+        print(f"note: machines differ (base {base_machine}, cand "
+              f"{cand_machine}) — wall rows skipped")
+    if not base:
+        print("FAIL: baseline has no rows — wrong file?")
+        return 1
 
-    sections = [s for s in args.sections.split(",") if s]
-    base = load_rows(args.baseline, sections)
-    cand = load_rows(args.candidate, sections)
-
-    failures = []
-    compared = 0
-    for key, base_row in sorted(base.items()):
+    failures = compared = skipped = 0
+    for key, row in sorted(base.items()):
+        label = "/".join(key)
+        if row["kind"] == "wall" and not same_machine:
+            skipped += 1
+            continue
         cand_row = cand.get(key)
         if cand_row is None:
-            print(f"note: {key} missing from candidate (skipped)")
+            failures += 1
+            print(f"{label:64s} missing from candidate  <-- FAIL")
             continue
         compared += 1
-        b, c = base_row["sim_s"], cand_row["sim_s"]
-        limit = b * (1.0 + args.threshold)
-        marker = ""
-        if c > limit:
-            failures.append(key)
-            marker = "  <-- REGRESSION"
-        rel = (c - b) / b if b > 0 else 0.0
-        print(f"{'/'.join(str(k) for k in key):40s} "
-              f"base {b:.9f}  cand {c:.9f}  {rel:+7.1%}{marker}")
-    for key in sorted(set(cand) - set(base)):
-        print(f"note: {key} new in candidate (not gated)")
+        b, c = row["value"], cand_row["value"]
+        bad = worse(row["better"], b, c, args.threshold)
+        failures += bad
+        rel = (c - b) / b if b else 0.0
+        print(f"{label:64s} base {b:14.9f}  cand {c:14.9f}  {rel:+7.1%}"
+              f"{'  <-- REGRESSION' if bad else ''}")
+    for key in sorted(cand.keys() - base.keys()):
+        print(f"note: {'/'.join(key)} new in candidate (not gated)")
 
-    if compared == 0:
-        print("FAIL: no comparable rows — wrong files or sections?")
-        return 1
-    cand_strategies = {key[1] for key in cand}
-    missing = [s for s in args.require_strategy if s not in cand_strategies]
-    if missing:
-        print(f"FAIL: candidate has no rows for required "
-              f"strateg{'y' if len(missing) == 1 else 'ies'}: "
-              f"{', '.join(missing)}")
-        return 1
     if failures:
-        print(f"FAIL: {len(failures)}/{compared} rows regressed more than "
-              f"{args.threshold:.0%} in simulated time")
+        print(f"FAIL: {failures} of {len(base)} baseline rows regressed more "
+              f"than {args.threshold:.0%} or are missing")
         return 1
-    print(f"OK: {compared} rows within {args.threshold:.0%} of baseline")
+    print(f"OK: {compared} rows within {args.threshold:.0%} of baseline"
+          f"{f', {skipped} wall rows skipped' if skipped else ''}")
     return 0
 
 
