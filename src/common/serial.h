@@ -230,7 +230,8 @@ class SerialReader {
     }
     const std::size_t nbytes = static_cast<std::size_t>(n) * sizeof(T);
     out.resize(static_cast<std::size_t>(n));
-    std::memcpy(out.data(), bytes_.data() + pos_, nbytes);
+    // An empty `out` may have a null data(), which memcpy must not see.
+    if (nbytes > 0) std::memcpy(out.data(), bytes_.data() + pos_, nbytes);
     pos_ += nbytes;
     return Status::Ok();
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 
 #include "common/exec_pool.h"
 #include "common/log.h"
@@ -297,7 +298,7 @@ Status ObjectStore::build_bitmap_index(ObjectId id,
                                  std::to_string(id));
   }
   desc->index_config = config;
-  return build_index_into(desc, config, pool);
+  return build_index_into(desc, config, pool).status();
 }
 
 Status ObjectStore::rebuild_bitmap_index(ObjectId id, exec::ThreadPool* pool) {
@@ -314,29 +315,46 @@ Status ObjectStore::rebuild_bitmap_index(ObjectId id, exec::ThreadPool* pool) {
     return Status::FailedPrecondition("no index to rebuild for object " +
                                       std::to_string(id));
   }
-  return build_index_into(desc, desc->index_config, pool);
+  return build_index_into(desc, desc->index_config, pool).status();
 }
 
-Status ObjectStore::build_index_into(ObjectDescriptor* desc,
-                                     const bitmap::IndexConfig& config,
-                                     exec::ThreadPool* pool) {
+Result<std::uint64_t> ObjectStore::build_index_into(
+    ObjectDescriptor* desc, const bitmap::IndexConfig& config,
+    exec::ThreadPool* pool) {
   const std::string fname = index_file_name(desc->id);
-  PDC_ASSIGN_OR_RETURN(pfs::PfsFile file, cluster_.create(fname));
   const std::size_t elem_size = desc->element_size();
 
-  // Per-region read + index build + serialize are independent, so they
-  // fan out over the pool; the offset assignment and file writes below
-  // stay serial and in region order, making the index file byte-identical
-  // to a serial build at any pool size.
+  // A region is re-indexed only when its base index was not built at its
+  // current data epoch: never built, appended into, or written since
+  // (every region holding a delta sidecar is one of these).  Any other
+  // region's serialized index is exactly what a build would write, so its
+  // bytes are copied from the current file — read here, before the create
+  // below truncates it.  Reads and builds are independent per region and
+  // fan out over the pool; the offset assignment and file writes stay
+  // serial and in region order, so the file is byte-identical to a
+  // from-scratch serial build at any pool size.
+  std::optional<pfs::PfsFile> current;
+  if (!desc->index_file.empty()) {
+    PDC_ASSIGN_OR_RETURN(current, cluster_.open(desc->index_file));
+  }
   struct BuiltIndex {
     Status status;
     std::vector<std::uint8_t> bytes;
     std::uint64_t header_bytes = 0;
+    bool rebuilt = false;
   };
   std::vector<BuiltIndex> built(desc->regions.size());
   exec::parallel_for(pool, desc->regions.size(), [&](std::size_t i) {
     const RegionDescriptor& region = desc->regions[i];
     BuiltIndex& b = built[i];
+    if (current.has_value() && region.index_bytes > 0 &&
+        region.index_epoch == region.data_epoch) {
+      b.bytes.resize(static_cast<std::size_t>(region.index_bytes));
+      b.status = current->read(region.index_offset, b.bytes, {});
+      b.header_bytes = region.index_header_bytes;
+      return;
+    }
+    b.rebuilt = true;
     std::vector<std::uint8_t> region_bytes(
         static_cast<std::size_t>(region.extent.count * elem_size));
     b.status = read_region(*desc, region.index, region_bytes, {});
@@ -353,14 +371,19 @@ Status ObjectStore::build_index_into(ObjectDescriptor* desc,
     });
     b.bytes = w.take();
   });
+  for (const BuiltIndex& b : built) PDC_RETURN_IF_ERROR(b.status);
 
+  PDC_ASSIGN_OR_RETURN(pfs::PfsFile file, cluster_.create(fname));
   std::uint64_t cursor = 0;
+  std::uint64_t rebuilt = 0;
   for (std::size_t i = 0; i < desc->regions.size(); ++i) {
     RegionDescriptor& region = desc->regions[i];
-    BuiltIndex& b = built[i];
-    PDC_RETURN_IF_ERROR(b.status);
+    const BuiltIndex& b = built[i];
     PDC_RETURN_IF_ERROR(file.write(cursor, b.bytes));
     region.index_offset = cursor;
+    cursor += b.bytes.size();
+    if (!b.rebuilt) continue;
+    ++rebuilt;
     region.index_bytes = b.bytes.size();
     region.index_header_bytes = b.header_bytes;
     region.index_header.assign(
@@ -369,10 +392,9 @@ Status ObjectStore::build_index_into(ObjectDescriptor* desc,
     region.index_epoch = region.data_epoch;
     region.index_synced_epoch = region.data_epoch;
     region.delta.entries.clear();
-    cursor += b.bytes.size();
   }
   desc->index_file = fname;
-  return Status::Ok();
+  return rebuilt;
 }
 
 Status ObjectStore::link_sorted_replica(ObjectId replica, ObjectId source,
@@ -600,10 +622,12 @@ Result<WriteResult> ObjectStore::apply_write(ObjectId id, WriteKind kind,
   result.regions_touched = last_touched - first_touched + 1;
   lock.unlock();
 
-  // Compaction folds every delta by rebuilding the index file — joined
-  // here, before the write is acknowledged, so results are deterministic.
+  // Compaction folds every delta by re-indexing the regions whose index
+  // lags — joined here, before the write is acknowledged, so results are
+  // deterministic.
   if (need_compact) {
-    PDC_RETURN_IF_ERROR(rebuild_bitmap_index(id, options.pool));
+    PDC_ASSIGN_OR_RETURN(result.regions_reindexed,
+                         build_index_into(d, d->index_config, options.pool));
     result.compacted = true;
   }
   return result;
@@ -633,7 +657,7 @@ Status ObjectStore::reset_object_data(ObjectId id,
   desc->data_epoch += 1;
   build_regions(*desc, bytes, pool);
   if (!desc->index_file.empty()) {
-    return build_index_into(desc, desc->index_config, pool);
+    return build_index_into(desc, desc->index_config, pool).status();
   }
   return Status::Ok();
 }

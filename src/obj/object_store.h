@@ -127,7 +127,7 @@ struct ObjectDescriptor {
   /// Log-structured sorted-replica delta (source objects only): source
   /// position -> current raw value bytes for every element written since
   /// the replica was built/rebuilt.  The sorted strategy merges it on
-  /// read; a bulk rebuild folds it.
+  /// read; sortrep::rebuild_sorted_replica folds it.
   std::map<std::uint64_t, std::vector<std::uint8_t>> sorted_delta;
   /// Source data epoch the replica (base + sorted_delta) accounts for.
   /// The planner uses the replica only when this equals data_epoch.
@@ -167,7 +167,8 @@ struct WriteOptions {
   /// never at stake, histograms are always kept sound.
   bool maintain_accelerators = true;
   /// Dirty positions per region at which a write triggers a synchronous
-  /// index compaction (full rebuild folding every delta).
+  /// index compaction: every region whose base index lags its data (the
+  /// delta-holding and stale ones) is re-indexed, the rest are copied.
   std::uint64_t compact_threshold = 64;
   /// Pool for compaction rebuilds (byte-identical at any width).
   exec::ThreadPool* pool = nullptr;
@@ -181,6 +182,8 @@ struct WriteResult {
   std::uint64_t regions_touched = 0;
   bool duplicate = false;           ///< seq replay: acknowledged, not applied
   bool compacted = false;           ///< triggered a delta-folding rebuild
+  /// Regions the compaction re-indexed (0 when it did not run).
+  std::uint64_t regions_reindexed = 0;
   /// Size of the sorted-replica delta log after this write (0 when no
   /// replica is linked) — the caller's replica-rebuild decision input.
   std::uint64_t sorted_delta_entries = 0;
@@ -248,21 +251,24 @@ class ObjectStore {
                                   std::uint64_t write_seq,
                                   const WriteOptions& options = {});
 
-  /// Fold every region's delta sidecar by rebuilding the object's bitmap
-  /// index file from current data with the stored IndexConfig — byte
-  /// identical to a from-scratch build.  Re-syncs every region's index
-  /// epoch (including regions stale from appends).
+  /// Fold every region's delta sidecar: re-index, from current data with
+  /// the stored IndexConfig, each region whose base index was not built at
+  /// its data epoch (delta-holding, stale from an unabsorbable write, or
+  /// grown by an append), and copy every other region's index bytes.  The
+  /// rewritten file is byte-identical to a from-scratch build, and every
+  /// region's index epoch ends in sync.  Clean regions keep their index
+  /// epoch, so their index-cache entries stay valid.
   Status rebuild_bitmap_index(ObjectId id, exec::ThreadPool* pool = nullptr);
 
   /// Replace an object's data wholesale: rewrite the data file, rebuild
   /// regions/histograms (and the bitmap index, when one exists) from the
-  /// new bytes.  Used by the sorted-replica bulk rebuild.
+  /// new bytes.  Used by the sorted-replica fold.
   Status reset_object_data(ObjectId id, std::span<const std::uint8_t> bytes,
                            std::uint64_t num_elements,
                            exec::ThreadPool* pool = nullptr);
 
   /// Declare `source`'s replica fully synced: clears the sorted-delta log
-  /// and fast-forwards replica_synced_epoch (called after a bulk rebuild).
+  /// and fast-forwards replica_synced_epoch (called after a fold).
   Status mark_replica_synced(ObjectId source);
 
   /// Move a region to another layer of the memory/storage hierarchy
@@ -323,11 +329,13 @@ class ObjectStore {
   void build_regions(ObjectDescriptor& desc,
                      std::span<const std::uint8_t> bytes,
                      exec::ThreadPool* pool) const;
-  /// (Re)create the index file and fill every region's index fields +
-  /// epochs.  Caller owns locking discipline.
-  Status build_index_into(ObjectDescriptor* desc,
-                          const bitmap::IndexConfig& config,
-                          exec::ThreadPool* pool);
+  /// (Re)create the index file: re-index the regions whose base index
+  /// lags their data (all of them on a first build), copy the rest, and
+  /// fill every region's index fields + epochs.  Returns the number of
+  /// regions re-indexed.  Caller owns locking discipline.
+  Result<std::uint64_t> build_index_into(ObjectDescriptor* desc,
+                                         const bitmap::IndexConfig& config,
+                                         exec::ThreadPool* pool);
 
   pfs::PfsCluster& cluster_;
   mutable std::shared_mutex mu_;

@@ -208,11 +208,11 @@ struct ServiceOptions {
   /// tenants equal, FIFO-equivalent ordering).
   std::vector<double> tenant_weights;
   /// Delta-WAH compaction threshold: a region whose sidecar reaches this
-  /// many entries has its bitmap index rebuilt inline with the write that
+  /// many entries has its bitmap index compacted inline with the write that
   /// crossed the line.  0 disables compaction (deltas grow unbounded).
   std::uint64_t compact_threshold = 64;
-  /// Sorted-replica bulk rebuild once the write delta log reaches this
-  /// many entries.  0 disables rebuilds.
+  /// Sorted-replica fold (the write delta log merged into the replica)
+  /// once the log reaches this many entries.  0 disables folds.
   std::uint64_t replica_rebuild_threshold = 4096;
   /// Default shuffle strategy for join() (JoinSpec::strategy overrides).
   server::JoinStrategy join_strategy = server::JoinStrategy::kZoneShuffle;

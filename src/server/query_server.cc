@@ -621,16 +621,18 @@ TransferWriteResponse QueryServer::transfer_write(
   if (result->compacted && compactions_metric_ != nullptr) {
     compactions_metric_->add();
   }
-  // Delta log past its threshold: fold it into a fresh sorted replica.
-  // A rebuild can legitimately fail (writes introduced NaN) — the delta
-  // log is kept and merged reads continue, so the write still succeeds.
+  // Delta log past its threshold: merge it into the sorted replica.
+  // A fold can legitimately fail (writes introduced NaN) — the delta log
+  // is kept and merged reads continue, so the write still succeeds.
+  std::uint64_t fold_entries = 0;
   if (!result->duplicate && result->replica_id != kInvalidObjectId &&
       options_.replica_rebuild_threshold > 0 &&
       result->sorted_delta_entries >= options_.replica_rebuild_threshold) {
     const Status rebuilt = sortrep::rebuild_sorted_replica(
         *options_.mutable_store, request.object, options_.pool);
-    if (rebuilt.ok() && replica_rebuilds_metric_ != nullptr) {
-      replica_rebuilds_metric_->add();
+    if (rebuilt.ok()) {
+      fold_entries = result->sorted_delta_entries;
+      if (replica_rebuilds_metric_ != nullptr) replica_rebuilds_metric_->add();
     }
     span.arg("replica_rebuilt", rebuilt.ok() ? 1.0 : 0.0);
   }
@@ -644,6 +646,9 @@ TransferWriteResponse QueryServer::transfer_write(
              static_cast<double>(response.regions_touched));
     span.arg("duplicate", response.duplicate ? 1.0 : 0.0);
     span.arg("compacted", response.compacted ? 1.0 : 0.0);
+    span.arg("regions_reindexed",
+             static_cast<double>(result->regions_reindexed));
+    span.arg("fold_entries", static_cast<double>(fold_entries));
   }
   return response;
 }

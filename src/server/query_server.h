@@ -71,11 +71,12 @@ struct ServerOptions {
   /// rejected with FailedPrecondition.  When set it must reference the
   /// same store as the read path.
   obj::ObjectStore* mutable_store = nullptr;
-  /// Fold a region's delta-WAH sidecar back into the base index (full
-  /// rebuild) once it reaches this many entries.  0 disables compaction.
+  /// Fold a region's delta-WAH sidecar back into the base index (every
+  /// region whose index lags is re-indexed) once it reaches this many
+  /// entries.  0 disables compaction.
   std::uint64_t compact_threshold = 64;
-  /// Bulk-rebuild the sorted replica once the source's delta log reaches
-  /// this many entries.  0 disables rebuilds.
+  /// Fold the source's delta log into the sorted replica (a merge) once
+  /// it reaches this many entries.  0 disables folds.
   std::uint64_t replica_rebuild_threshold = 4096;
   /// This server's endpoint on the exchange lane (server-to-server tuple
   /// shuffle for cross-object joins).  Null = single-server deployments

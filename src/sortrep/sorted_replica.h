@@ -54,12 +54,18 @@ Result<BuildReport> build_sorted_replica(obj::ObjectStore& store,
 Result<BuildReport> build_sorted_replica(obj::ObjectStore& store,
                                          ObjectId source);
 
-/// Rebuild an existing sorted replica from the source's *current* data
-/// (PAM-style bulk rebuild once the write delta log grows past its
-/// threshold): re-sorts, overwrites the replica's data and permutation
-/// files in place, and clears the source's delta log / marks the replica
-/// synced to the source's data epoch.  Fails (leaving the delta log
-/// intact, so merged reads keep working) if the data now contains NaN.
+/// Fold the source's write delta log into its existing sorted replica
+/// (PAM-style, once the log grows past its threshold): read the replica
+/// and its permutation, drop the entries whose source position the log
+/// relocates, and merge the sorted log entries in — segmented over `pool`
+/// when one is given.  Ties break on source position as in the build's
+/// argsort, so the data and permutation files are byte-identical to a
+/// fresh build on the current data at any pool width.  Overwrites both
+/// files, clears the log and marks the replica synced to the source's
+/// data epoch.  Fails before touching any file, keeping the log (merged
+/// reads keep working), with InvalidArgument if a log entry is NaN and
+/// FailedPrecondition if the log misses writes (made with maintenance
+/// off).
 Status rebuild_sorted_replica(obj::ObjectStore& store, ObjectId source,
                               exec::ThreadPool* pool = nullptr);
 

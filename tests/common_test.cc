@@ -177,6 +177,23 @@ TEST(Serial, RoundTripScalarsAndStrings) {
   EXPECT_TRUE(r.exhausted());
 }
 
+TEST(Serial, EmptyVectorRoundTrips) {
+  // A never-filled vector has no storage (data() is null): reading an
+  // empty vector into it must not hand that null pointer to memcpy.
+  SerialWriter w;
+  w.put_vector(std::vector<float>{});
+  w.put<std::uint32_t>(7);
+  auto bytes = w.take();
+  SerialReader r(bytes);
+  std::vector<float> v;
+  std::uint32_t tail = 0;
+  ASSERT_TRUE(r.get_vector(v).ok());
+  ASSERT_TRUE(r.get(tail).ok());
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(tail, 7u);
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(Serial, UnderrunIsCorruptionNotCrash) {
   SerialWriter w;
   w.put<std::uint16_t>(7);

@@ -1,16 +1,23 @@
 // Write-path tests (mutable regions): epoch/staleness bookkeeping,
-// delta-WAH compaction byte-identity, sorted-delta merge determinism, and
-// epoch-keyed region-cache invalidation.
+// delta-WAH compaction byte-identity, sorted-delta merge determinism and
+// fold byte-identity, epoch-keyed region-cache invalidation, and the
+// maintenance args on the server's write span.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/exec_pool.h"
+#include "common/rng.h"
+#include "common/serial.h"
 #include "obj/object_store.h"
 #include "query/service.h"
 #include "server/region_cache.h"
@@ -27,28 +34,28 @@ using server::Strategy;
           values.size() * sizeof(float)};
 }
 
-/// One small float column (64 elements, 16 per region = 4 regions) with a
-/// bitmap index and optionally a sorted replica, plus a shadow copy of the
-/// values for brute-force checks.
+/// A float column with a bitmap index and optionally a sorted replica,
+/// plus a shadow copy of the values for brute-force checks.  The default
+/// is one small column (64 elements, 16 per region = 4 regions).
 class WriteEnv {
  public:
   static constexpr std::uint64_t kN = 64;
   static constexpr std::uint64_t kRegionBytes = 64;  // 16 floats per region
 
   explicit WriteEnv(const std::string& root, bool with_replica = false)
-      : root_(root) {
+      : WriteEnv(root, ramp(), kRegionBytes, with_replica) {}
+
+  WriteEnv(const std::string& root, std::vector<float> values,
+           std::uint64_t region_bytes, bool with_replica)
+      : root_(root), values_(std::move(values)) {
     std::filesystem::remove_all(root_);
     pfs::PfsConfig cfg;
     cfg.root_dir = root_;
     cluster_ = std::move(pfs::PfsCluster::Create(cfg)).value();
     store_ = std::make_unique<obj::ObjectStore>(*cluster_);
 
-    values_.resize(kN);
-    for (std::uint64_t i = 0; i < kN; ++i) {
-      values_[i] = static_cast<float>(i) / static_cast<float>(kN);
-    }
     obj::ImportOptions options;
-    options.region_size_bytes = kRegionBytes;
+    options.region_size_bytes = region_bytes;
     const ObjectId container =
         std::move(store_->create_container("wtest")).value();
     id_ = std::move(store_->import_object<float>(
@@ -84,12 +91,43 @@ class WriteEnv {
   [[nodiscard]] const obj::ObjectDescriptor& desc() const {
     return *std::move(store_->get(id_)).value();
   }
+  [[nodiscard]] const obj::ObjectDescriptor& replica() const {
+    return *std::move(store_->get(*store_->sorted_replica_of(id_))).value();
+  }
+
+  /// Apply one write straight to the store and mirror it in the shadow.
+  [[nodiscard]] obj::WriteResult write(obj::WriteKind kind,
+                                       std::uint64_t offset,
+                                       const std::vector<float>& values,
+                                       const obj::WriteOptions& options = {}) {
+    auto result =
+        store_->apply_write(id_, kind, Extent1D{offset, values.size()},
+                            float_bytes(values), ++seq_, options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return {};
+    if (kind == obj::WriteKind::kAppend) {
+      shadow_append(values);
+    } else {
+      shadow_overwrite(offset, values);
+    }
+    return *result;
+  }
 
   std::string root_;
   std::unique_ptr<pfs::PfsCluster> cluster_;
   std::unique_ptr<obj::ObjectStore> store_;
   std::vector<float> values_;
   ObjectId id_ = kInvalidObjectId;
+  std::uint64_t seq_ = 0;
+
+ private:
+  static std::vector<float> ramp() {
+    std::vector<float> values(kN);
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      values[i] = static_cast<float>(i) / static_cast<float>(kN);
+    }
+    return values;
+  }
 };
 
 [[nodiscard]] std::string test_root(const std::string& leaf) {
@@ -287,47 +325,74 @@ TEST(WritePathEpochs, DuplicateWriteSeqAcknowledgedWithoutReapply) {
   return bytes;
 }
 
+/// Regions whose base index lags their data: the ones a compaction
+/// re-indexes.
+[[nodiscard]] std::uint64_t lagging_regions(const obj::ObjectDescriptor& d) {
+  return static_cast<std::uint64_t>(std::count_if(
+      d.regions.begin(), d.regions.end(), [](const obj::RegionDescriptor& r) {
+        return r.index_bytes == 0 || r.index_epoch != r.data_epoch;
+      }));
+}
+
 TEST(WritePathCompaction, CompactedIndexMatchesFreshBuildByteForByte) {
   // Store A: import, build, then overwrite through the write path with
-  // compaction firing on every write (threshold 1).
+  // compaction firing on every absorbed write (threshold 1).
   WriteEnv env(test_root("compact_a"));
   obj::WriteOptions wopts;
   wopts.compact_threshold = 1;
   const std::vector<std::pair<std::uint64_t, float>> writes{
       {3, 0.1234567f}, {17, 0.3177777f}, {40, 0.7012345f}, {62, 0.9712311f}};
-  std::uint64_t seq = 0;
   bool saw_compaction = false;
   for (const auto& [pos, value] : writes) {
-    const std::vector<float> one{value};
-    auto result = env.store_->apply_write(env.id_, obj::WriteKind::kOverwrite,
-                                          Extent1D{pos, 1}, float_bytes(one),
-                                          ++seq, wopts);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    saw_compaction |= result->compacted;
-    env.shadow_overwrite(pos, one);
+    const auto result =
+        env.write(obj::WriteKind::kOverwrite, pos, {value}, wopts);
+    saw_compaction |= result.compacted;
+    EXPECT_EQ(result.regions_reindexed, result.compacted ? 1u : 0u);
   }
   EXPECT_TRUE(saw_compaction);
 
-  // Store B: import the final data directly and build the index once.
-  const std::string root_b = test_root("compact_b");
-  std::filesystem::remove_all(root_b);
-  pfs::PfsConfig cfg;
-  cfg.root_dir = root_b;
-  auto cluster_b = std::move(pfs::PfsCluster::Create(cfg)).value();
-  obj::ObjectStore store_b(*cluster_b);
-  obj::ImportOptions import_options;
-  import_options.region_size_bytes = WriteEnv::kRegionBytes;
-  const ObjectId container =
-      std::move(store_b.create_container("wtest")).value();
-  const ObjectId id_b =
-      std::move(store_b.import_object<float>(
-                    container, "col", std::span<const float>(env.values_),
-                    import_options))
-          .value();
-  ASSERT_TRUE(store_b.build_bitmap_index(id_b).ok());
+  // Warm the index cache on region 0, which no later write touches: the
+  // query's hits all lie there, and the histograms prune every other
+  // region.
+  ServiceOptions options;
+  options.num_servers = 1;
+  options.strategy = Strategy::kHistogramIndex;
+  QueryService reader(std::as_const(*env.store_), options);
+  const auto clean_query = create(env.id_, QueryOp::kLT, 0.1);
+  ASSERT_TRUE(reader.get_selection(clean_query).ok());
+  const std::uint64_t cold_reads = reader.last_stats().server_read_ops;
+  ASSERT_TRUE(reader.get_selection(clean_query).ok());
+  const std::uint64_t warm_reads = reader.last_stats().server_read_ops;
+  EXPECT_LT(warm_reads, cold_reads);
 
+  // Leave regions lagging before the write that crosses the threshold:
+  // an unabsorbable value makes region 1 stale, and an append adds
+  // region 4.  Neither compacts.
+  EXPECT_FALSE(
+      env.write(obj::WriteKind::kOverwrite, 20, {7.5f}, wopts).compacted);
+  EXPECT_FALSE(env.write(obj::WriteKind::kAppend, 0,
+                         {2.0f, 2.25f, 2.5f, 2.75f, 3.0f, 3.25f, 3.5f, 3.75f},
+                         wopts)
+                   .compacted);
+  ASSERT_EQ(env.desc().regions.size(), 5u);
+  ASSERT_EQ(lagging_regions(env.desc()), 2u);
+  // The crossing write lags region 2 too: three regions to re-index.
+  const auto crossing =
+      env.write(obj::WriteKind::kOverwrite, 45, {0.6012345f}, wopts);
+  EXPECT_TRUE(crossing.compacted);
+  EXPECT_EQ(crossing.regions_reindexed, 3u);
+  EXPECT_EQ(lagging_regions(env.desc()), 0u);
+
+  // Region 0 kept its index epoch, so its cached bins still hit.
+  auto again = reader.get_selection(clean_query);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(reader.last_stats().server_read_ops, warm_reads);
+
+  // Store B: import the final data directly and build the index once.
+  const WriteEnv fresh(test_root("compact_b"), env.values_,
+                       WriteEnv::kRegionBytes, /*with_replica=*/false);
   const auto& desc_a = env.desc();
-  const auto& desc_b = *std::move(store_b.get(id_b)).value();
+  const auto& desc_b = fresh.desc();
 
   // Region metadata: identical layout, headers, and epochs-all-synced.
   ASSERT_EQ(desc_a.regions.size(), desc_b.regions.size());
@@ -338,12 +403,13 @@ TEST(WritePathCompaction, CompactedIndexMatchesFreshBuildByteForByte) {
     EXPECT_TRUE(ra.delta.empty()) << "region " << r;
     EXPECT_EQ(ra.index_offset, rb.index_offset) << "region " << r;
     EXPECT_EQ(ra.index_bytes, rb.index_bytes) << "region " << r;
+    EXPECT_EQ(ra.index_header_bytes, rb.index_header_bytes) << "region " << r;
     EXPECT_EQ(ra.index_header, rb.index_header) << "region " << r;
   }
 
   // The whole index file is byte-for-byte the fresh build.
   const auto bytes_a = read_whole_file(*env.cluster_, desc_a.index_file);
-  const auto bytes_b = read_whole_file(*cluster_b, desc_b.index_file);
+  const auto bytes_b = read_whole_file(*fresh.cluster_, desc_b.index_file);
   EXPECT_EQ(bytes_a, bytes_b);
 
   // And an explicit rebuild on top of the compacted state is a no-op at
@@ -353,7 +419,7 @@ TEST(WritePathCompaction, CompactedIndexMatchesFreshBuildByteForByte) {
   EXPECT_EQ(bytes_a2, bytes_b);
 
   check_all_strategies(env, 0.3);
-  std::filesystem::remove_all(root_b);
+  check_all_strategies(env, 1.5);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,6 +492,149 @@ TEST(WritePathSortedDelta, BulkRebuildFoldsDeltaLog) {
   check_all_strategies(env, 0.4);
 }
 
+[[nodiscard]] std::vector<std::uint8_t> histogram_bytes(
+    const hist::MergeableHistogram& histogram) {
+  SerialWriter w;
+  histogram.serialize(w);
+  return w.take();
+}
+
+/// A 2^18-float column — large enough for the fold's merge to split into
+/// segments over a pool — and a seeded schedule of overwrites plus one
+/// append.  The base sits on a coarse grid (many exact ties) with -0.0
+/// sprinkled in; written values mix exact duplicates of base values,
+/// -0.0/+0.0, +-inf, subnormals, the column min/max and fresh values.
+struct FoldSchedule {
+  static constexpr std::uint64_t kN = 1u << 18;
+  static constexpr std::uint64_t kRegionBytes = 16u << 10;  // 64 regions
+
+  struct Write {
+    obj::WriteKind kind;
+    std::uint64_t offset;
+    std::vector<float> values;
+  };
+
+  FoldSchedule() {
+    Rng rng(0xF01D);
+    base.resize(kN);
+    for (float& v : base) {
+      v = static_cast<float>(rng.next_u64() % 4096) / 64.0f - 32.0f;
+    }
+    for (std::uint64_t i = 0; i < kN; i += 997) base[i] = -0.0f;
+    const auto [lo, hi] = std::minmax_element(base.begin(), base.end());
+    const std::array<float, 9> specials{
+        -0.0f, 0.0f, std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(), 1e-40f, *lo, *hi};
+    const auto draw = [&] {
+      switch (rng.next_u64() % 3) {
+        case 0: return specials[rng.next_u64() % specials.size()];
+        case 1: return base[rng.next_u64() % kN];
+        default: return static_cast<float>(rng.next_double() * 80.0 - 40.0);
+      }
+    };
+    final_values = base;
+    for (int w = 0; w < 48; ++w) {
+      const std::uint64_t len = 1 + rng.next_u64() % 160;
+      const std::uint64_t offset = rng.next_u64() % (kN - len);
+      std::vector<float> values(len);
+      for (float& v : values) v = draw();
+      std::copy(values.begin(), values.end(),
+                final_values.begin() + static_cast<std::ptrdiff_t>(offset));
+      writes.push_back({obj::WriteKind::kOverwrite, offset, std::move(values)});
+    }
+    std::vector<float> tail(1500);
+    for (float& v : tail) v = draw();
+    final_values.insert(final_values.end(), tail.begin(), tail.end());
+    writes.push_back({obj::WriteKind::kAppend, 0, std::move(tail)});
+  }
+
+  void apply(WriteEnv& env) const {
+    for (const Write& w : writes) (void)env.write(w.kind, w.offset, w.values);
+  }
+
+  std::vector<float> base;
+  std::vector<float> final_values;
+  std::vector<Write> writes;
+};
+
+TEST(WritePathSortedDelta, FoldMatchesFreshBuildAtEveryPoolWidth) {
+  const FoldSchedule schedule;
+  const WriteEnv fresh(test_root("fold_fresh"), schedule.final_values,
+                       FoldSchedule::kRegionBytes, /*with_replica=*/true);
+  const obj::ObjectDescriptor& want = fresh.replica();
+  const auto want_data = read_whole_file(*fresh.cluster_, want.data_file);
+  const auto want_perm =
+      read_whole_file(*fresh.cluster_, want.permutation_file);
+
+  for (const std::uint32_t width : {1u, 4u, 8u}) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    WriteEnv env(test_root("fold_" + std::to_string(width)), schedule.base,
+                 FoldSchedule::kRegionBytes, /*with_replica=*/true);
+    schedule.apply(env);
+    ASSERT_EQ(env.values_, schedule.final_values);
+    ASSERT_GT(env.desc().sorted_delta.size(), 1500u);
+
+    exec::ThreadPool pool(width);
+    const Status folded =
+        sortrep::rebuild_sorted_replica(*env.store_, env.id_, &pool);
+    ASSERT_TRUE(folded.ok()) << folded.ToString();
+    EXPECT_TRUE(env.desc().sorted_delta.empty());
+    EXPECT_EQ(env.desc().replica_synced_epoch, env.desc().data_epoch);
+
+    const obj::ObjectDescriptor& got = env.replica();
+    EXPECT_EQ(read_whole_file(*env.cluster_, got.data_file), want_data);
+    EXPECT_EQ(read_whole_file(*env.cluster_, got.permutation_file),
+              want_perm);
+    ASSERT_EQ(got.regions.size(), want.regions.size());
+    for (std::size_t r = 0; r < got.regions.size(); ++r) {
+      EXPECT_EQ(histogram_bytes(got.regions[r].histogram),
+                histogram_bytes(want.regions[r].histogram))
+          << "region " << r;
+    }
+    EXPECT_EQ(histogram_bytes(got.global_histogram),
+              histogram_bytes(want.global_histogram));
+  }
+}
+
+TEST(WritePathSortedDelta, FoldRejectsNaNBeforeTouchingAnyFile) {
+  WriteEnv env(test_root("fold_nan"), /*with_replica=*/true);
+  (void)env.write(obj::WriteKind::kOverwrite, 2, {0.8412345f});
+  (void)env.write(obj::WriteKind::kOverwrite, 9,
+                  {std::numeric_limits<float>::quiet_NaN()});
+  const obj::ObjectDescriptor& rep = env.replica();
+  const auto data_before = read_whole_file(*env.cluster_, rep.data_file);
+  const auto perm_before =
+      read_whole_file(*env.cluster_, rep.permutation_file);
+  const auto log_before = env.desc().sorted_delta;
+  ASSERT_EQ(log_before.size(), 2u);
+
+  EXPECT_EQ(sortrep::rebuild_sorted_replica(*env.store_, env.id_).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(read_whole_file(*env.cluster_, rep.data_file), data_before);
+  EXPECT_EQ(read_whole_file(*env.cluster_, rep.permutation_file),
+            perm_before);
+  EXPECT_EQ(env.desc().sorted_delta, log_before);
+  // Merged reads over the kept log stay exact.
+  check_all_strategies(env, 0.4);
+}
+
+TEST(WritePathSortedDelta, FoldRejectsIncompleteLog) {
+  WriteEnv env(test_root("fold_gap"), /*with_replica=*/true);
+  (void)env.write(obj::WriteKind::kOverwrite, 2, {0.8412345f});
+  // A write with maintenance off drops the log: it no longer covers every
+  // write since the replica was synced.
+  obj::WriteOptions no_maint;
+  no_maint.maintain_accelerators = false;
+  (void)env.write(obj::WriteKind::kOverwrite, 40, {0.0312345f}, no_maint);
+  (void)env.write(obj::WriteKind::kOverwrite, 50, {0.4312345f});
+
+  EXPECT_EQ(sortrep::rebuild_sorted_replica(*env.store_, env.id_).code(),
+            StatusCode::kFailedPrecondition);
+  check_all_strategies(env, 0.4);
+}
+
 // ---------------------------------------------------------------------------
 // Group 4: epoch-keyed cache invalidation.
 // ---------------------------------------------------------------------------
@@ -489,6 +698,43 @@ TEST(WritePathCache, ReadOnlyServiceRejectsWrites) {
   const std::vector<float> repl{0.5f};
   auto report = service.overwrite(env.id_, Extent1D{0, 1}, float_bytes(repl));
   EXPECT_FALSE(report.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Group 5: the server's write span carries its maintenance work.
+// ---------------------------------------------------------------------------
+
+TEST(WritePathTrace, TransferWriteSpanReportsReindexAndFold) {
+  WriteEnv env(test_root("trace"), /*with_replica=*/true);
+  ServiceOptions options;
+  options.num_servers = 2;
+  options.compact_threshold = 2;
+  options.replica_rebuild_threshold = 2;
+  QueryService service(*env.store_, options);  // writable
+  QueryOptions traced;
+  traced.trace = true;
+
+  // Two absorbable values in region 0: the sidecar reaches the compaction
+  // threshold and the log the fold threshold in the same write.
+  const std::vector<float> repl{0.1234567f, 0.0712345f};
+  auto report =
+      service.overwrite(env.id_, Extent1D{5, 2}, float_bytes(repl), traced);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->compacted);
+  env.shadow_overwrite(5, repl);
+
+  const auto trace = service.last_trace();
+  ASSERT_NE(trace, nullptr);
+  const auto span = std::find_if(
+      trace->spans.begin(), trace->spans.end(),
+      [](const obs::Span& s) { return s.name == "server.transfer_write"; });
+  ASSERT_NE(span, trace->spans.end());
+  EXPECT_EQ(span->arg("compacted", -1.0), 1.0);
+  EXPECT_EQ(span->arg("regions_reindexed", -1.0), 1.0);
+  EXPECT_EQ(span->arg("replica_rebuilt", -1.0), 1.0);
+  EXPECT_EQ(span->arg("fold_entries", -1.0), 2.0);
+  EXPECT_TRUE(env.desc().sorted_delta.empty());
+  check_all_strategies(env, 0.07);
 }
 
 }  // namespace
