@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "common/log.h"
+#include "common/merge_runs.h"
 #include "query/dispatch.h"
 #include "server/region_assignment.h"
 
@@ -310,6 +311,9 @@ Result<Selection> QueryService::eval(const QueryPtr& query,
   // fault-free one, only slower.  Only when every server is dead does the
   // call surface kUnavailable.  The first round takes its alive and dead
   // lists from one snapshot, so every identity is covered exactly once.
+  // One ascending position run per response, merged once all rounds are
+  // in.
+  std::vector<std::vector<std::uint64_t>> position_runs;
   std::vector<ServerId> orphaned;
   for (bool first_round = true; first_round || !orphaned.empty();
        first_round = false) {
@@ -348,9 +352,7 @@ Result<Selection> QueryService::eval(const QueryPtr& query,
               PDC_RETURN_IF_ERROR(response.status);
               selection.num_hits += response.num_hits;
               if (response.has_positions) {
-                selection.positions.insert(selection.positions.end(),
-                                           response.positions.begin(),
-                                           response.positions.end());
+                position_runs.push_back(std::move(response.positions));
               }
               if (!response.sorted_extents.empty()) {
                 if (response.replica_id != kInvalidObjectId) {
@@ -375,19 +377,24 @@ Result<Selection> QueryService::eval(const QueryPtr& query,
 
   op.charge_responses();
 
-  // Client-side aggregation: merge per-server position lists.
-  if (!selection.positions.empty()) {
+  // Client-side aggregation: merge the per-response ascending runs (and
+  // dedupe the multi-term union).  Dedupe and the get_data scatter rely on
+  // the order, so a response out of order fails the query.
+  std::size_t total_positions = 0;
+  for (const std::vector<std::uint64_t>& run : position_runs) {
+    total_positions += run.size();
+  }
+  if (total_positions > 0) {
     obs::ScopedSpan merge_span(op.trace(), "client.merge", "client");
-    merge_span.arg("positions", static_cast<double>(selection.positions.size()));
+    merge_span.arg("positions", static_cast<double>(total_positions));
     op.stats.client_cpu_seconds += 2.0 * op.cost.scan_cost(
-        selection.positions.size() * sizeof(std::uint64_t));
-    std::sort(selection.positions.begin(), selection.positions.end());
-    if (multi_term) {
-      selection.positions.erase(
-          std::unique(selection.positions.begin(), selection.positions.end()),
-          selection.positions.end());
-      selection.num_hits = selection.positions.size();
+        total_positions * sizeof(std::uint64_t));
+    const Status merged =
+        merge_ascending_runs(position_runs, selection.positions);
+    if (!merged.ok()) {
+      return Status::Corruption("eval responses: " + merged.message());
     }
+    if (multi_term) selection.num_hits = selection.positions.size();
   }
   // The replica id may be known even when extents were not retained.
   if (selection.replica_id == kInvalidObjectId &&

@@ -379,12 +379,19 @@ void Client::receive_loop() {
     }
     cell = Message{message->sender,
                    std::vector<std::uint8_t>(payload.begin(), payload.end())};
-    if (slot.waiter->tracer != nullptr && !trace_blob.empty()) {
-      std::vector<obs::Span> spans;
-      if (obs::deserialize_spans(trace_blob, spans).ok()) {
-        slot.waiter->tracer->adopt(std::move(spans));
+    if (slot.waiter->tracer != nullptr) {
+      if (!trace_blob.empty()) {
+        std::vector<obs::Span> spans;
+        if (obs::deserialize_spans(trace_blob, spans).ok()) {
+          slot.waiter->tracer->adopt(std::move(spans));
+        }
+        // A malformed blob loses the server's spans, never the response.
       }
-      // A malformed blob loses the server's spans, never the response.
+      // The request's span ends at its own reply, not when the slowest
+      // server of the gather answers.
+      const obs::SpanId span = (*slot.waiter->request_spans)[slot.index];
+      slot.waiter->tracer->add_arg(span, "responded", 1.0);
+      slot.waiter->tracer->end(span);
     }
     if (--slot.waiter->remaining == 0) slot.waiter->cv.notify_all();
   }
@@ -405,9 +412,10 @@ GatherResult Client::gather(
   if (requests.empty()) return result;
 
   // Traced gathers get one "rpc.gather" span, one "rpc.request" span per
-  // request (open from first send until the gather returns — server-side
-  // spans parent under it, so their intervals nest), and one "rpc.attempt"
-  // span per retry round.
+  // request (open from first send until that request's reply is accepted,
+  // or until the gather returns for one never answered — server-side spans
+  // parent under it, so their intervals nest), and one "rpc.attempt" span
+  // per retry round.
   obs::ScopedSpan gather_span(trace, "rpc.gather", "client");
   std::vector<obs::SpanId> request_spans(requests.size(), 0);
   if (trace.enabled()) {
@@ -429,6 +437,7 @@ GatherResult Client::gather(
   waiter.shed = &result.shed;
   waiter.remaining = requests.size();
   waiter.tracer = trace.tracer;
+  waiter.request_spans = &request_spans;
   std::vector<std::uint64_t> ids(requests.size());
   {
     std::lock_guard lock(mu_);
@@ -535,9 +544,10 @@ GatherResult Client::gather(
     if (result.responses[i].has_value()) result.shed[i] = false;
   }
   if (trace.enabled()) {
+    // Answered requests closed their span at the reply.
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      trace.tracer->add_arg(request_spans[i], "responded",
-                            result.responses[i].has_value() ? 1.0 : 0.0);
+      if (result.responses[i].has_value()) continue;
+      trace.tracer->add_arg(request_spans[i], "responded", 0.0);
       trace.tracer->end(request_spans[i]);
     }
     gather_span.arg("retries", static_cast<double>(result.stats.retries));

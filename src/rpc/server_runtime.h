@@ -256,8 +256,9 @@ class Client {
   }
 
   /// Traced gather: opens an "rpc.gather" span with one "rpc.request" child
-  /// per request (the envelope's parent span, stable across retries) and an
-  /// "rpc.attempt" child per retry round; span blobs returned by servers
+  /// per request (the envelope's parent span, stable across retries, closed
+  /// when that request's reply arrives) and an "rpc.attempt" child per
+  /// retry round; span blobs returned by servers
   /// are adopted into the issuing trace.  A disabled context makes this
   /// identical to the untraced overload.
   /// `tenant` stamps every request envelope with the issuing tenant's
@@ -303,6 +304,9 @@ class Client {
     /// (null = untraced).  The receiver adopts a blob exactly once per
     /// request id (duplicates are dropped before their spans).
     obs::Tracer* tracer = nullptr;
+    /// Per-request "rpc.request" spans (with a tracer); the receiver ends
+    /// each one when it accepts that request's reply.
+    const std::vector<obs::SpanId>* request_spans = nullptr;
   };
   /// pending_ value: where a response with that request id belongs.
   struct Slot {

@@ -24,16 +24,6 @@ double delta_value(PdcType type, std::span<const std::uint8_t> bytes) {
   });
 }
 
-/// Union of two ascending position lists, deduplicated.
-std::vector<std::uint64_t> merge_union(std::vector<std::uint64_t> a,
-                                       std::vector<std::uint64_t> b) {
-  std::vector<std::uint64_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> QueryServer::handle(
@@ -307,21 +297,32 @@ EvalResponse QueryServer::eval(const EvalRequest& request,
   std::vector<std::uint64_t> all_positions;
   bool first_term = true;
   for (const AndTerm& term : request.terms) {
-    std::vector<std::uint64_t> term_positions;
+    std::vector<std::vector<std::uint64_t>> identity_positions(
+        identities.size());
     std::vector<Extent1D> term_extents;
-    for (const ServerId identity : identities) {
+    for (std::size_t k = 0; k < identities.size(); ++k) {
       const Status s =
-          eval_term(term, request, identity, ledger, term_positions,
-                    term_extents, regions_evaluated, counts,
-                    eval_span.context());
+          eval_term(term, request, identities[k], ledger,
+                    identity_positions[k], term_extents, regions_evaluated,
+                    counts, eval_span.context());
       if (!s.ok()) {
         response.status = s;
         return response;
       }
     }
-    if (identities.size() > 1) {
-      // Per-identity sublists are each ascending; restore the global order.
-      std::sort(term_positions.begin(), term_positions.end());
+    std::vector<std::uint64_t> term_positions;
+    if (identities.size() == 1) {
+      term_positions = std::move(identity_positions.front());
+    } else {
+      // Per-identity sublists are each ascending and disjoint.
+      const std::vector<std::span<const std::uint64_t>> runs(
+          identity_positions.begin(), identity_positions.end());
+      const Status s =
+          pipeline_.collect(runs, term_positions, eval_span.context());
+      if (!s.ok()) {
+        response.status = s;
+        return response;
+      }
     }
     if (first_term) {
       all_positions = std::move(term_positions);
@@ -333,8 +334,15 @@ EvalResponse QueryServer::eval(const EvalRequest& request,
                          (all_positions.size() + term_positions.size()) *
                          sizeof(std::uint64_t)),
                      CpuStage::kMerge);
-      all_positions = merge_union(std::move(all_positions),
-                                  std::move(term_positions));
+      const std::span<const std::uint64_t> runs[] = {all_positions,
+                                                     term_positions};
+      std::vector<std::uint64_t> merged;
+      const Status s = pipeline_.collect(runs, merged, eval_span.context());
+      if (!s.ok()) {
+        response.status = s;
+        return response;
+      }
+      all_positions = std::move(merged);
       response.sorted_extents.clear();  // extents only valid single-term
     }
   }

@@ -1,8 +1,10 @@
 #include "server/region_pipeline.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -11,6 +13,7 @@
 #include "bitmap/binned_index.h"
 #include "bitmap/delta_wah.h"
 #include "common/log.h"
+#include "common/merge_runs.h"
 #include "kernels/kernels.h"
 #include "obj/type_dispatch.h"
 #include "server/region_assignment.h"
@@ -39,13 +42,55 @@ void scan_buffer(PdcType type, const std::uint8_t* bytes,
   });
 }
 
-/// Check `interval` against the value at buffer-local index `local`.
-bool check_value(PdcType type, const std::uint8_t* bytes, std::uint64_t local,
-                 const ValueInterval& interval) {
-  return obj::dispatch_type(type, [&](auto tag) {
+/// Append, ascending, the union of `bins` — bitmaps of one region whose
+/// first element is `base`, disjoint value classes — clipped to `want`.
+/// One bin expands straight into `out`; several are marked in a bitset
+/// over `want` and emitted in position order, so the cost stays linear in
+/// the hits (OR-ing the compressed bins pairwise grows with their count).
+void append_union(std::span<const bitmap::WahBitVector> bins,
+                  std::uint64_t base, Extent1D want,
+                  std::vector<std::uint64_t>& out) {
+  if (bins.size() == 1) {
+    bins[0].append_set_positions(base, want.offset, want.end(), out);
+    return;
+  }
+  if (bins.empty()) return;
+  std::vector<std::uint64_t> words((want.count + 63) / 64, 0);
+  std::vector<std::uint64_t> bin_hits;
+  for (const bitmap::WahBitVector& bin : bins) {
+    bin_hits.clear();
+    bin.append_set_positions(base, want.offset, want.end(), bin_hits);
+    for (const std::uint64_t p : bin_hits) {
+      const std::uint64_t local = p - want.offset;
+      words[local >> 6] |= std::uint64_t{1} << (local & 63);
+    }
+  }
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      out.push_back(want.offset + w * 64 +
+                    static_cast<std::uint64_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+/// Append each position of ascending `group` whose value satisfies
+/// `interval`.  The value of group[k] is element group[k] - region_offset
+/// of `bytes` when `bytes` holds a whole region, or element k when it holds
+/// the group's gathered values (`region_offset` = nullopt).  One type
+/// dispatch per group, not per element.
+void keep_matching(PdcType type, const std::uint8_t* bytes,
+                   std::span<const std::uint64_t> group,
+                   std::optional<std::uint64_t> region_offset,
+                   const ValueInterval& interval,
+                   std::vector<std::uint64_t>& kept) {
+  obj::dispatch_type(type, [&](auto tag) {
     using T = decltype(tag);
-    return interval.contains(static_cast<double>(
-        reinterpret_cast<const T*>(bytes)[local]));
+    const T* values = reinterpret_cast<const T*>(bytes);
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      const T v = region_offset ? values[group[k] - *region_offset]
+                                : values[k];
+      if (interval.contains(static_cast<double>(v))) kept.push_back(group[k]);
+    }
   });
 }
 
@@ -176,8 +221,8 @@ PipelineConfig pipeline_config(Strategy strategy, bool sorted_driver) noexcept {
   return {};
 }
 
-void RegionPipeline::annotate_task_span(obs::ScopedSpan& span,
-                                        const CostLedger& task_ledger) {
+void RegionPipeline::annotate_task_span(
+    obs::ScopedSpan& span, std::span<const CostLedger> task_ledgers) {
   if (span.id() == 0) return;
   const exec::TaskInfo task = exec::current_task();
   if (task.in_task) {
@@ -185,23 +230,63 @@ void RegionPipeline::annotate_task_span(obs::ScopedSpan& span,
                            static_cast<std::int64_t>(task.worker)));
     span.arg("stolen", task.stolen ? 1.0 : 0.0);
   }
-  span.arg("io_s", task_ledger.io_seconds());
-  span.arg("cpu_s", task_ledger.cpu_seconds());
+  double io_s = 0.0;
+  double cpu_s = 0.0;
+  for (const CostLedger& l : task_ledgers) {
+    io_s += l.io_seconds();
+    cpu_s += l.cpu_seconds();
+  }
+  span.arg("io_s", io_s);
+  span.arg("cpu_s", cpu_s);
 }
 
-Status RegionPipeline::fan_out_join(std::size_t tasks,
+Status RegionPipeline::fan_out_join(std::span<const std::size_t> item_ends,
+                                    std::uint64_t work_bytes,
                                     const obs::TraceContext& phase,
                                     const char* span_name, CostLedger& ledger,
-                                    const TaskBody& body) {
+                                    const GroupBody& body) {
+  const std::size_t tasks = item_ends.size();
   std::vector<Status> statuses(tasks);
-  std::vector<CostLedger> ledgers(tasks);
-  exec::parallel_for(env_.pool, tasks, [&](std::size_t i) {
+  std::vector<CostLedger> ledgers(tasks == 0 ? 0 : item_ends.back());
+  exec::ThreadPool* pool = work_bytes < kFanOutGrainBytes ? nullptr : env_.pool;
+  exec::parallel_for(pool, tasks, [&](std::size_t t) {
+    const std::size_t first = t == 0 ? 0 : item_ends[t - 1];
+    const std::span<CostLedger> mine(ledgers.data() + first,
+                                     item_ends[t] - first);
     obs::ScopedSpan task_span(phase, span_name, *env_.actor);
-    statuses[i] = body(i, ledgers[i], task_span);
-    annotate_task_span(task_span, ledgers[i]);
+    statuses[t] = body(t, mine, task_span);
+    annotate_task_span(task_span, mine);
   });
   for (const Status& s : statuses) PDC_RETURN_IF_ERROR(s);
   ledger.merge_parallel(ledgers, eval_threads());
+  return Status::Ok();
+}
+
+Status RegionPipeline::fan_out_join(std::size_t tasks,
+                                    std::uint64_t work_bytes,
+                                    const obs::TraceContext& phase,
+                                    const char* span_name, CostLedger& ledger,
+                                    const TaskBody& body) {
+  std::vector<std::size_t> item_ends(tasks);
+  std::iota(item_ends.begin(), item_ends.end(), std::size_t{1});
+  return fan_out_join(
+      item_ends, work_bytes, phase, span_name, ledger,
+      [&](std::size_t t, std::span<CostLedger> task_ledger,
+          obs::ScopedSpan& span) { return body(t, task_ledger[0], span); });
+}
+
+Status RegionPipeline::collect(
+    std::span<const std::span<const std::uint64_t>> runs,
+    std::vector<std::uint64_t>& positions, const obs::TraceContext& trace) {
+  obs::ScopedSpan span(trace, "phase.collect", *env_.actor);
+  std::vector<std::uint64_t> merged;
+  PDC_RETURN_IF_ERROR(merge_ascending_runs(runs, merged));
+  span.arg("positions", static_cast<double>(merged.size()));
+  if (positions.empty()) {
+    positions = std::move(merged);
+  } else {
+    positions.insert(positions.end(), merged.begin(), merged.end());
+  }
   return Status::Ok();
 }
 
@@ -256,9 +341,13 @@ Status RegionPipeline::run_scan(const obj::ObjectDescriptor& object,
   // fills its own slot, so concatenating slots in region-index order below
   // reproduces the serial loop bit-exactly: per-region hit lists are
   // ascending and region extents are disjoint ascending.
+  std::uint64_t work_bytes = 0;
+  for (const RegionIndex r : regions) {
+    work_bytes += object.regions[r].extent.count * object.element_size();
+  }
   std::vector<std::vector<std::uint64_t>> hits(regions.size());
   PDC_RETURN_IF_ERROR(fan_out_join(
-      regions.size(), phase.context(), "region", ledger,
+      regions.size(), work_bytes, phase.context(), "region", ledger,
       [&](std::size_t i, CostLedger& task_ledger,
           obs::ScopedSpan& region_span) -> Status {
         region_span.arg("region", static_cast<double>(regions[i]));
@@ -307,9 +396,13 @@ Status RegionPipeline::scan_group(const obj::ObjectDescriptor& object,
   const CostModel& cost = env_.store->cluster().config().cost;
   obs::ScopedSpan scan_phase(trace, "phase.region_scan", *env_.actor);
   scan_phase.arg("regions", static_cast<double>(items.size()));
+  std::uint64_t work_bytes = 0;
+  for (const ScanItem& item : items) {
+    work_bytes += item.want.count * object.element_size();
+  }
   std::vector<std::vector<std::uint64_t>> hits(items.size());
   PDC_RETURN_IF_ERROR(fan_out_join(
-      items.size(), scan_phase.context(), "region_fetch", ledger,
+      items.size(), work_bytes, scan_phase.context(), "region_fetch", ledger,
       [&](std::size_t i, CostLedger& task_ledger,
           obs::ScopedSpan& region_span) -> Status {
         region_span.arg("region", static_cast<double>(items[i].region));
@@ -403,84 +496,123 @@ Status RegionPipeline::decode_bins(const obj::ObjectDescriptor& object,
                                    Extent1D constraint,
                                    std::vector<PlannedBin>& planned,
                                    CostLedger& ledger,
-                                   std::vector<std::uint64_t>& positions,
+                                   std::vector<std::uint64_t>& definite,
                                    std::vector<std::uint64_t>& candidates,
                                    const obs::TraceContext& trace) {
   const CostModel& cost = env_.store->cluster().config().cost;
-  // One task per planned bin; definite hits and candidates land in
-  // per-task slots, concatenated afterwards.  Order does not matter for
-  // correctness: positions get a final sort and candidates are sorted
-  // before the aggregated value check.
-  std::vector<std::vector<std::uint64_t>> definite(planned.size());
-  std::vector<std::vector<std::uint64_t>> partial(planned.size());
+  // One task per region, one ledger per bin.  A region's bins are disjoint
+  // value classes, so their union comes out in ascending order; regions
+  // are planned in ascending order, so concatenating the per-region slots
+  // keeps both lists ascending.
+  std::vector<std::size_t> region_ends;
+  std::uint64_t bin_bytes = 0;
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    bin_bytes += planned[i].cached->size();
+    if (i + 1 == planned.size() || planned[i + 1].region != planned[i].region) {
+      region_ends.push_back(i + 1);
+    }
+  }
+  std::vector<std::vector<std::uint64_t>> region_definite(region_ends.size());
+  std::vector<std::vector<std::uint64_t>> region_candidates(
+      region_ends.size());
   PDC_RETURN_IF_ERROR(fan_out_join(
-      planned.size(), trace, "bin", ledger,
-      [&](std::size_t i, CostLedger& task_ledger,
-          obs::ScopedSpan& bin_span) -> Status {
-        bin_span.arg("region", static_cast<double>(planned[i].region));
-        bin_span.arg("bin", static_cast<double>(planned[i].bin));
-        PDC_ASSIGN_OR_RETURN(
-            bitmap::WahBitVector bv,
-            bitmap::PartitionedIndexView::DecodeBin(*planned[i].cached));
-        task_ledger.add_cpu(static_cast<double>(planned[i].cached->size()) /
-                                cost.index_decode_bandwidth_bps,
-                            CpuStage::kDecode);
-        const obj::RegionDescriptor& region =
-            object.regions[planned[i].region];
-        if (!region.delta.empty()) {
-          // Overwritten positions: mask the base bitmap's dirty bits and
-          // add the delta bits of positions whose current value is in this
-          // bin.  Delta-absorbed values are strictly bin-interior (see
-          // delta_bin_of), so full-bin "definite hit" semantics still hold.
+      region_ends, bin_bytes, trace, "region_decode", ledger,
+      [&](std::size_t t, std::span<CostLedger> bin_ledgers,
+          obs::ScopedSpan& region_span) -> Status {
+        const std::size_t first = t == 0 ? 0 : region_ends[t - 1];
+        const RegionIndex r = planned[first].region;
+        const obj::RegionDescriptor& region = object.regions[r];
+        region_span.arg("region", static_cast<double>(r));
+        region_span.arg("bins", static_cast<double>(bin_ledgers.size()));
+        std::vector<std::uint64_t> dirty;
+        if (!region.delta.empty()) dirty = region.delta.dirty_positions();
+        std::vector<bitmap::WahBitVector> full_bins;
+        std::vector<bitmap::WahBitVector> partial_bins;
+        for (std::size_t k = 0; k < bin_ledgers.size(); ++k) {
+          const PlannedBin& bin = planned[first + k];
+          CostLedger& bin_ledger = bin_ledgers[k];
           PDC_ASSIGN_OR_RETURN(
-              bv, bitmap::combine_base_delta(
-                      bv, region.delta.dirty_positions(),
-                      region.delta.bin_positions(planned[i].bin)));
-          task_ledger.add_cpu(
-              static_cast<double>(region.delta.entries.size() * 8) /
-                  cost.index_decode_bandwidth_bps,
-              CpuStage::kDecode);
+              bitmap::WahBitVector bv,
+              bitmap::PartitionedIndexView::DecodeBin(*bin.cached));
+          bin_ledger.add_cpu(static_cast<double>(bin.cached->size()) /
+                                 cost.index_decode_bandwidth_bps,
+                             CpuStage::kDecode);
+          if (!region.delta.empty()) {
+            // Overwritten positions: mask the base bitmap's dirty bits and
+            // add the delta bits of positions whose current value is in
+            // this bin.  Delta-absorbed values are strictly bin-interior
+            // (see delta_bin_of), so full-bin "definite hit" semantics
+            // still hold.
+            PDC_ASSIGN_OR_RETURN(
+                bv, bitmap::combine_base_delta(
+                        bv, dirty, region.delta.bin_positions(bin.bin)));
+            bin_ledger.add_cpu(
+                static_cast<double>(region.delta.entries.size() * 8) /
+                    cost.index_decode_bandwidth_bps,
+                CpuStage::kDecode);
+          }
+          (bin.full ? full_bins : partial_bins).push_back(std::move(bv));
         }
         Extent1D want = region.extent;
         if (constraint.count > 0) want = want.intersect(constraint);
-        auto& sink = planned[i].full ? definite[i] : partial[i];
-        // Kernel-backed bulk expansion (for_each_set + clip filter).
-        bv.append_set_positions(region.extent.offset, want.offset, want.end(),
-                                sink);
+        append_union(full_bins, region.extent.offset, want,
+                     region_definite[t]);
+        append_union(partial_bins, region.extent.offset, want,
+                     region_candidates[t]);
         return Status::Ok();
       }));
-  for (std::size_t i = 0; i < planned.size(); ++i) {
-    positions.insert(positions.end(), definite[i].begin(), definite[i].end());
-    candidates.insert(candidates.end(), partial[i].begin(), partial[i].end());
+  for (std::size_t t = 0; t < region_ends.size(); ++t) {
+    definite.insert(definite.end(), region_definite[t].begin(),
+                    region_definite[t].end());
+    candidates.insert(candidates.end(), region_candidates[t].begin(),
+                      region_candidates[t].end());
   }
   return Status::Ok();
 }
 
-Status RegionPipeline::check_candidates(const obj::ObjectDescriptor& object,
-                                        const ValueInterval& interval,
-                                        std::vector<std::uint64_t>& candidates,
-                                        CostLedger& ledger,
-                                        std::vector<std::uint64_t>& positions,
-                                        const obs::TraceContext& trace) {
+Status RegionPipeline::check_candidates(
+    const obj::ObjectDescriptor& object, const ValueInterval& interval,
+    std::span<const std::uint64_t> candidates, CostLedger& ledger,
+    std::vector<std::uint64_t>& survivors, const obs::TraceContext& trace) {
   const CostModel& cost = env_.store->cluster().config().cost;
   obs::ScopedSpan check_phase(trace, "phase.candidate_check", *env_.actor);
   check_phase.arg("candidates", static_cast<double>(candidates.size()));
-  std::sort(candidates.begin(), candidates.end());
-  const std::size_t elem_size = object.element_size();
   // Candidate values are fetched with the wide-gap policy: merging nearby
   // candidates into one larger read costs extra bytes but far fewer op
   // latencies (the block-read philosophy of §III-E).
-  std::vector<std::uint8_t> values(candidates.size() * elem_size);
+  std::vector<std::uint8_t> values(candidates.size() * object.element_size());
   PDC_RETURN_IF_ERROR(
       env_.store->read_values_at(object, candidates, values, env_.aggregation,
                                  read_ctx(ledger, check_phase.context())));
   ledger.add_cpu(cost.scan_cost(values.size()), CpuStage::kScan);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (check_value(object.type, values.data(), i, interval)) {
-      positions.push_back(candidates[i]);
-    }
-  }
+  keep_matching(object.type, values.data(), candidates, std::nullopt, interval,
+                survivors);
   return Status::Ok();
+}
+
+Status RegionPipeline::probe_index(const obj::ObjectDescriptor& object,
+                                   const ValueInterval& interval,
+                                   Extent1D constraint,
+                                   std::vector<PlannedBin>& planned,
+                                   CostLedger& ledger,
+                                   std::vector<std::uint64_t>& definite,
+                                   std::vector<std::uint64_t>& survivors,
+                                   const obs::TraceContext& trace) {
+  obs::ScopedSpan decode_phase(trace, "phase.bin_decode", *env_.actor);
+  decode_phase.arg("bins", static_cast<double>(planned.size()));
+  // Read the uncached bins in one aggregated pass, then decode.
+  PDC_RETURN_IF_ERROR(
+      read_missing_bins(object, planned, ledger, decode_phase.context()));
+  std::vector<std::uint64_t> candidates;
+  PDC_RETURN_IF_ERROR(decode_bins(object, constraint, planned, ledger,
+                                  definite, candidates,
+                                  decode_phase.context()));
+  log_debug("server ", env_.id, ": obj ", object.id, " bins=", planned.size(),
+            " definite=", definite.size(), " candidates=", candidates.size());
+  decode_phase.close();
+  if (candidates.empty()) return Status::Ok();
+  return check_candidates(object, interval, candidates, ledger, survivors,
+                          trace);
 }
 
 Status RegionPipeline::run_index(const obj::ObjectDescriptor& object,
@@ -501,6 +633,7 @@ Status RegionPipeline::run_index(const obj::ObjectDescriptor& object,
   // issue one aggregated read over the index file.
   std::vector<PlannedBin> planned;
   std::vector<ScanItem> stale_items;
+  std::vector<std::uint64_t> all_hits;
   obs::ScopedSpan prune_phase(trace, "phase.histogram_prune", *env_.actor);
   for (const RegionIndex r :
        regions_of_server(object, identity, env_.num_servers)) {
@@ -521,7 +654,7 @@ Status RegionPipeline::run_index(const obj::ObjectDescriptor& object,
       // Histogram proves the whole region matches: no index I/O needed.
       // (Histograms are maintained on every write, so this stays sound
       // even when the region's bitmap index is stale.)
-      kernels::append_range(positions, want.offset, want.end());
+      kernels::append_range(all_hits, want.offset, want.end());
       continue;
     }
     if (!region.index_fresh()) {
@@ -541,32 +674,22 @@ Status RegionPipeline::run_index(const obj::ObjectDescriptor& object,
   prune_phase.arg("stale_regions", static_cast<double>(stale_items.size()));
   prune_phase.close();
 
+  std::vector<std::uint64_t> scanned;
   if (!stale_items.empty()) {
     PDC_RETURN_IF_ERROR(
-        scan_group(object, interval, stale_items, ledger, positions, trace));
+        scan_group(object, interval, stale_items, ledger, scanned, trace));
   }
-
+  std::vector<std::uint64_t> definite;
+  std::vector<std::uint64_t> survivors;
   if (!planned.empty()) {
-    obs::ScopedSpan decode_phase(trace, "phase.bin_decode", *env_.actor);
-    decode_phase.arg("bins", static_cast<double>(planned.size()));
-    // Read the uncached bins in one aggregated pass, then decode.
-    PDC_RETURN_IF_ERROR(
-        read_missing_bins(object, planned, ledger, decode_phase.context()));
-    std::vector<std::uint64_t> candidates;
-    PDC_RETURN_IF_ERROR(decode_bins(object, constraint, planned, ledger,
-                                    positions, candidates,
-                                    decode_phase.context()));
-    log_debug("HI server ", env_.id, ": obj ", object.id, " bins=",
-              planned.size(), " definite=", positions.size(),
-              " candidates=", candidates.size());
-    decode_phase.close();
-    if (!candidates.empty()) {
-      PDC_RETURN_IF_ERROR(check_candidates(object, interval, candidates,
-                                           ledger, positions, trace));
-    }
+    PDC_RETURN_IF_ERROR(probe_index(object, interval, constraint, planned,
+                                    ledger, definite, survivors, trace));
   }
-  std::sort(positions.begin(), positions.end());
-  return Status::Ok();
+  // Collector: each group is ascending, the groups interleave in region
+  // space.
+  const std::span<const std::uint64_t> runs[] = {all_hits, scanned, definite,
+                                                 survivors};
+  return collect(runs, positions, trace);
 }
 
 Status RegionPipeline::run_sorted(const obj::ObjectDescriptor& replica,
@@ -585,8 +708,17 @@ Status RegionPipeline::run_sorted(const obj::ObjectDescriptor& replica,
   // then assembled serially in region-index order so cross-region
   // coalescing sees the same adjacency as the serial loop.
   std::vector<Extent1D> found(regions.size());  // count == 0: no hit
+  // Only boundary regions (overlapped, not covered) fetch and search.
+  std::uint64_t work_bytes = 0;
+  for (const RegionIndex r : regions) {
+    const obj::RegionDescriptor& region = replica.regions[r];
+    if (region.histogram.may_overlap(interval) &&
+        !region.histogram.covers(interval)) {
+      work_bytes += region.extent.count * replica.element_size();
+    }
+  }
   PDC_RETURN_IF_ERROR(fan_out_join(
-      regions.size(), phase.context(), "region", ledger,
+      regions.size(), work_bytes, phase.context(), "region", ledger,
       [&](std::size_t i, CostLedger& task_ledger,
           obs::ScopedSpan& region_span) -> Status {
         region_span.arg("region", static_cast<double>(regions[i]));
@@ -647,6 +779,7 @@ Status RegionPipeline::run_adaptive(const obj::ObjectDescriptor& object,
   // work, one "region" span per region like the other strategies).
   std::vector<ScanItem> scan_items;
   std::vector<PlannedBin> planned;
+  std::vector<std::uint64_t> all_hits;
   obs::ScopedSpan plan_phase(trace, "phase.adaptive_plan", *env_.actor);
   plan_phase.arg("regions", static_cast<double>(regions.size()));
   plan_phase.arg("identity", static_cast<double>(identity));
@@ -675,7 +808,7 @@ Status RegionPipeline::run_adaptive(const obj::ObjectDescriptor& object,
       case RegionChoice::kAllHit:
         region_span.arg("all_hits", 1.0);
         // Answered from metadata alone (like the index path): no I/O.
-        kernels::append_range(positions, want.offset, want.end());
+        kernels::append_range(all_hits, want.offset, want.end());
         break;
       case RegionChoice::kScan:
         region_span.arg("scan", 1.0);
@@ -695,32 +828,24 @@ Status RegionPipeline::run_adaptive(const obj::ObjectDescriptor& object,
 
   // Scan group: dense (or index-stale) regions stream through the cache
   // like PDC-H.
+  std::vector<std::uint64_t> scanned;
   if (!scan_items.empty()) {
     PDC_RETURN_IF_ERROR(
-        scan_group(object, interval, scan_items, ledger, positions, trace));
+        scan_group(object, interval, scan_items, ledger, scanned, trace));
   }
 
   // Index group: sparse regions probe their WAH bins like PDC-HI.
+  std::vector<std::uint64_t> definite;
+  std::vector<std::uint64_t> survivors;
   if (!planned.empty()) {
-    obs::ScopedSpan decode_phase(trace, "phase.bin_decode", *env_.actor);
-    decode_phase.arg("bins", static_cast<double>(planned.size()));
-    PDC_RETURN_IF_ERROR(
-        read_missing_bins(object, planned, ledger, decode_phase.context()));
-    std::vector<std::uint64_t> candidates;
-    PDC_RETURN_IF_ERROR(decode_bins(object, constraint, planned, ledger,
-                                    positions, candidates,
-                                    decode_phase.context()));
-    decode_phase.close();
-    if (!candidates.empty()) {
-      PDC_RETURN_IF_ERROR(check_candidates(object, interval, candidates,
-                                           ledger, positions, trace));
-    }
+    PDC_RETURN_IF_ERROR(probe_index(object, interval, constraint, planned,
+                                    ledger, definite, survivors, trace));
   }
 
-  // Collector: the three groups interleave in region space, so the final
-  // order is restored here (uncharged, like the index path's final sort).
-  std::sort(positions.begin(), positions.end());
-  return Status::Ok();
+  // Collector: the groups interleave in region space; each is ascending.
+  const std::span<const std::uint64_t> runs[] = {all_hits, scanned, definite,
+                                                 survivors};
+  return collect(runs, positions, trace);
 }
 
 Status RegionPipeline::restrict(const obj::ObjectDescriptor& object,
@@ -735,30 +860,29 @@ Status RegionPipeline::restrict(const obj::ObjectDescriptor& object,
   const std::size_t elem_size = object.element_size();
 
   // Split the ascending position list into per-region groups serially
-  // (cheap), then check the groups in parallel.  Groups are disjoint
-  // ascending, so concatenating the per-group keep lists in group order
-  // reproduces the serial result bit-exactly.
+  // (one binary search on the region's end per group), then check the
+  // groups in parallel.  Groups are disjoint ascending, so concatenating
+  // the per-group keep lists in group order reproduces the serial result
+  // bit-exactly.
   struct Group {
     std::size_t begin;
     std::size_t end;
     RegionIndex region;
   };
   std::vector<Group> groups;
-  std::size_t i = 0;
-  while (i < positions.size()) {
+  for (std::size_t i = 0; i < positions.size();) {
     const RegionIndex r = region_of_position(object, positions[i]);
-    std::size_t j = i;
-    while (j < positions.size() &&
-           region_of_position(object, positions[j]) == r) {
-      ++j;
-    }
+    const std::size_t j = static_cast<std::size_t>(
+        std::lower_bound(positions.begin() + static_cast<std::ptrdiff_t>(i),
+                         positions.end(), object.regions[r].extent.end()) -
+        positions.begin());
     groups.push_back({i, j, r});
     i = j;
   }
-
   std::vector<std::vector<std::uint64_t>> kept_parts(groups.size());
   PDC_RETURN_IF_ERROR(fan_out_join(
-      groups.size(), phase.context(), "region_check", ledger,
+      groups.size(), positions.size() * elem_size, phase.context(),
+      "region_check", ledger,
       [&](std::size_t gi, CostLedger& task_ledger,
           obs::ScopedSpan& group_span) -> Status {
         group_span.arg("region", static_cast<double>(groups[gi].region));
@@ -808,12 +932,8 @@ Status RegionPipeline::restrict(const obj::ObjectDescriptor& object,
           task_ledger.add_cpu(static_cast<double>(group.size() * elem_size) /
                                   cost.memcpy_bandwidth_bps,
                               CpuStage::kScan);
-          for (const std::uint64_t pos : group) {
-            if (check_value(object.type, buffer->data(),
-                            pos - region.extent.offset, interval)) {
-              kept.push_back(pos);
-            }
-          }
+          keep_matching(object.type, buffer->data(), group,
+                        region.extent.offset, interval, kept);
         } else {
           // Sparse group, cold region: aggregated point reads.
           std::vector<std::uint8_t> values(group.size() * elem_size);
@@ -821,11 +941,8 @@ Status RegionPipeline::restrict(const obj::ObjectDescriptor& object,
               object, group, values, env_.aggregation,
               read_ctx(task_ledger, group_span.context())));
           task_ledger.add_cpu(cost.scan_cost(values.size()), CpuStage::kScan);
-          for (std::size_t k = 0; k < group.size(); ++k) {
-            if (check_value(object.type, values.data(), k, interval)) {
-              kept.push_back(group[k]);
-            }
-          }
+          keep_matching(object.type, values.data(), group, std::nullopt,
+                        interval, kept);
         }
         return Status::Ok();
       }));

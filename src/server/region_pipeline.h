@@ -4,10 +4,10 @@
 // pipeline over the regions one server identity owns:
 //
 //   RegionSource --> Pruner --> AccessPath --> Predicate --> Collector
-//   (assignment,     (histogram  (scan |        (interval     (ordered slot
-//    cache/PFS       min/max,     WAH-bin probe  check)        concat +
-//    fetch policy)   all-hit      | sorted                     ledger merge +
-//                    short-       boundary                     span emission)
+//   (assignment,     (histogram  (scan |        (interval     (ascending-run
+//    cache/PFS       min/max,     WAH-bin probe  check)        merge + ledger
+//    fetch policy)   all-hit      | sorted                     merge + span
+//                    short-       boundary                     emission)
 //                    circuit)     search)
 //
 // A strategy is a declarative `PipelineConfig` (see `pipeline_config`),
@@ -16,6 +16,11 @@
 // (`RegionPipeline::fan_out_join`).  The access paths themselves are small
 // operators reused across configs — PDC-A composes the scan and index
 // paths region-by-region.
+//
+// Every position-producing access path emits its hits in ascending region
+// order: each group (all-hit ranges, scanned regions, decoded definite
+// hits, checked candidates) is one ascending run, and the Collector merges
+// the runs linearly (`merge_ascending_runs`) instead of sorting them.
 //
 // `Strategy::kAdaptive` (PDC-A) picks an access path *per region* from the
 // region histogram alone via `classify_region`, a pure function of
@@ -27,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -123,6 +129,13 @@ struct PipelineConfig {
 [[nodiscard]] PipelineConfig pipeline_config(Strategy strategy,
                                              bool sorted_driver) noexcept;
 
+/// Minimum work, in bytes scanned, decoded or checked, for a fan-out to
+/// use the pool.  Below it a submit/wake/join round trip costs more than
+/// the work itself, so the tasks run inline on the request's thread.
+/// Simulated time is the same either way: the task ledgers still fold with
+/// `merge_parallel` over the modeled cores.
+inline constexpr std::uint64_t kFanOutGrainBytes = 16u << 10;
+
 /// The evaluation pipeline of one QueryServer.  Owns no state beyond the
 /// environment references; every `run`/`restrict` call is independent.
 class RegionPipeline {
@@ -162,6 +175,14 @@ class RegionPipeline {
                   CostLedger& ledger, std::vector<std::uint64_t>& positions,
                   const obs::TraceContext& trace);
 
+  /// Collector: linear merge of ascending `runs` into `positions`
+  /// (appended), under a "phase.collect" span.  A run that is not strictly
+  /// ascending fails with Corruption.  Shared with the server's merge of
+  /// per-identity and per-term hit lists.
+  Status collect(std::span<const std::span<const std::uint64_t>> runs,
+                 std::vector<std::uint64_t>& positions,
+                 const obs::TraceContext& trace);
+
   /// RegionSource: region bytes through the data cache; `cacheable=false`
   /// bypasses insertion.  Shared with the server's get-data path.
   Result<RegionCache::Buffer> fetch_region(
@@ -195,15 +216,27 @@ class RegionPipeline {
   /// already-open task span.  Returned status joins via fan_out_join.
   using TaskBody =
       std::function<Status(std::size_t, CostLedger&, obs::ScopedSpan&)>;
+  /// Task body covering several work items, one ledger per item in item
+  /// order (the per-region bin decode: one task, one ledger per bin).
+  using GroupBody = std::function<Status(std::size_t, std::span<CostLedger>,
+                                         obs::ScopedSpan&)>;
 
-  /// THE region fan-out/join: one pool task per item, each under its own
-  /// `span_name` span annotated with worker/cost, statuses joined, and the
-  /// per-task ledgers folded with CostLedger::merge_parallel so simulated
-  /// time reports max(critical task, work/threads).  Every parallel region
-  /// loop in the server goes through here.
-  Status fan_out_join(std::size_t tasks, const obs::TraceContext& phase,
-                      const char* span_name, CostLedger& ledger,
-                      const TaskBody& body);
+  /// THE region fan-out/join: one pool task per group of work items, task
+  /// t covering items [item_ends[t-1], item_ends[t]).  Each task runs under
+  /// its own `span_name` span annotated with worker/cost; statuses join,
+  /// and the per-item ledgers fold in item order with
+  /// CostLedger::merge_parallel so simulated time reports max(critical
+  /// item, work/threads).  A fan-out whose `work_bytes` is below
+  /// kFanOutGrainBytes runs inline.  Every parallel region loop in the
+  /// server goes through here.
+  Status fan_out_join(std::span<const std::size_t> item_ends,
+                      std::uint64_t work_bytes,
+                      const obs::TraceContext& phase, const char* span_name,
+                      CostLedger& ledger, const GroupBody& body);
+  /// One work item per task.
+  Status fan_out_join(std::size_t tasks, std::uint64_t work_bytes,
+                      const obs::TraceContext& phase, const char* span_name,
+                      CostLedger& ledger, const TaskBody& body);
 
   // Access-path operators (driver evaluation).
   Status run_scan(const obj::ObjectDescriptor& object,
@@ -229,12 +262,22 @@ class RegionPipeline {
                       const obs::TraceContext& trace);
 
   /// Fetch + scan a group of regions in parallel (the PDC-A dense group
-  /// and the index paths' stale-region fallback share this).
+  /// and the index paths' stale-region fallback share this); appends one
+  /// ascending run.
   Status scan_group(const obj::ObjectDescriptor& object,
                     const ValueInterval& interval,
                     const std::vector<ScanItem>& items, CostLedger& ledger,
                     std::vector<std::uint64_t>& positions,
                     const obs::TraceContext& trace);
+  /// The index group of run_index / run_adaptive: read the planned bins,
+  /// decode them per region and check the candidates.  Appends the
+  /// definite hits and the candidate survivors as two ascending runs.
+  Status probe_index(const obj::ObjectDescriptor& object,
+                     const ValueInterval& interval, Extent1D constraint,
+                     std::vector<PlannedBin>& planned, CostLedger& ledger,
+                     std::vector<std::uint64_t>& definite,
+                     std::vector<std::uint64_t>& survivors,
+                     const obs::TraceContext& trace);
 
   // Index-probe stages, shared by run_index and run_adaptive.
   /// Plan the bins of one surviving region (header parse + bin selection +
@@ -248,27 +291,28 @@ class RegionPipeline {
   Status read_missing_bins(const obj::ObjectDescriptor& object,
                            std::vector<PlannedBin>& planned,
                            CostLedger& ledger, const obs::TraceContext& trace);
-  /// Decode planned bins in parallel; definite hits append to `positions`,
-  /// boundary-bin bits to `candidates` (both unsorted here — the index
-  /// paths sort at the end).
+  /// Decode planned bins, one task per region (its bins are consecutive
+  /// in `planned`): the union of the region's full bins gives its definite
+  /// hits, that of its boundary bins its candidates.  Both append in
+  /// ascending order.
   Status decode_bins(const obj::ObjectDescriptor& object, Extent1D constraint,
                      std::vector<PlannedBin>& planned, CostLedger& ledger,
-                     std::vector<std::uint64_t>& positions,
+                     std::vector<std::uint64_t>& definite,
                      std::vector<std::uint64_t>& candidates,
                      const obs::TraceContext& trace);
-  /// Check candidate positions against the actual values (aggregated point
-  /// reads); survivors append to `positions`.
+  /// Check ascending candidate positions against the actual values
+  /// (aggregated point reads); survivors append to `survivors`.
   Status check_candidates(const obj::ObjectDescriptor& object,
                           const ValueInterval& interval,
-                          std::vector<std::uint64_t>& candidates,
+                          std::span<const std::uint64_t> candidates,
                           CostLedger& ledger,
-                          std::vector<std::uint64_t>& positions,
+                          std::vector<std::uint64_t>& survivors,
                           const obs::TraceContext& trace);
 
   /// Annotate a task span with the executing pool worker and the task
-  /// ledger's cost split; no-op when untraced.
+  /// ledgers' summed cost split; no-op when untraced.
   static void annotate_task_span(obs::ScopedSpan& span,
-                                 const CostLedger& task_ledger);
+                                 std::span<const CostLedger> task_ledgers);
 
   [[nodiscard]] pfs::ReadContext read_ctx(
       CostLedger& ledger, const obs::TraceContext& trace = {}) const {

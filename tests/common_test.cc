@@ -1,13 +1,18 @@
 // Unit tests for the common substrate: Status/Result, serialization,
-// intervals, RNG determinism, thread pool, cost ledger.
+// intervals, RNG determinism, thread pool, cost ledger, ascending-run
+// merge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/cost_model.h"
 #include "common/interval.h"
+#include "common/merge_runs.h"
 #include "common/rng.h"
 #include "common/serial.h"
 #include "common/exec_pool.h"
@@ -298,6 +303,84 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
 TEST(ThreadPool, ZeroIterationsIsNoop) {
   exec::ThreadPool pool(2);
   exec::parallel_for(&pool, 0, [](std::size_t) { FAIL() << "must not run"; });
+}
+
+// ------------------------------------------------------------ Run merge
+
+using Runs = std::vector<std::vector<std::uint64_t>>;
+
+TEST(MergeAscendingRuns, NoRunsAndEmptyRunsYieldNothing) {
+  std::vector<std::uint64_t> out{7, 8};  // replaced, not appended to
+  ASSERT_TRUE(merge_ascending_runs(Runs{}, out).ok());
+  EXPECT_TRUE(out.empty());
+  out = {7};
+  ASSERT_TRUE(merge_ascending_runs(Runs{{}, {}, {}}, out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(MergeAscendingRuns, SingleRunIsCopied) {
+  std::vector<std::uint64_t> out;
+  ASSERT_TRUE(merge_ascending_runs(Runs{{}, {0, 3, 9, 1ull << 40}}, out).ok());
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 3, 9, 1ull << 40}));
+}
+
+TEST(MergeAscendingRuns, InterleavedRunsMergeAscending) {
+  // Round-robin region blocks, the shape of per-server responses.
+  std::vector<std::uint64_t> out;
+  ASSERT_TRUE(merge_ascending_runs(
+                  Runs{{0, 1, 2, 12, 13}, {4, 5, 16}, {8, 9, 10, 11}}, out)
+                  .ok());
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 1, 2, 4, 5, 8, 9, 10, 11, 12,
+                                             13, 16}));
+}
+
+TEST(MergeAscendingRuns, ValuesInSeveralRunsAreEmittedOnce) {
+  // The multi-term OR: one element can satisfy two terms.
+  std::vector<std::uint64_t> out;
+  ASSERT_TRUE(
+      merge_ascending_runs(Runs{{1, 4, 6, 9}, {4, 5, 9}, {0, 4, 9, 10}}, out)
+          .ok());
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 1, 4, 5, 6, 9, 10}));
+}
+
+TEST(MergeAscendingRuns, MatchesSortUniqueOnRandomRuns) {
+  Rng rng(0x3E6);
+  for (int trial = 0; trial < 50; ++trial) {
+    Runs runs(1 + rng.bounded(6));
+    std::vector<std::uint64_t> expected;
+    for (auto& run : runs) {
+      std::set<std::uint64_t> values;
+      const std::uint64_t n = rng.bounded(40);
+      for (std::uint64_t i = 0; i < n; ++i) values.insert(rng.bounded(200));
+      run.assign(values.begin(), values.end());
+      expected.insert(expected.end(), run.begin(), run.end());
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    std::vector<std::uint64_t> out;
+    ASSERT_TRUE(merge_ascending_runs(runs, out).ok()) << "trial " << trial;
+    EXPECT_EQ(out, expected) << "trial " << trial;
+  }
+}
+
+TEST(MergeAscendingRuns, RunsOutOfOrderAreRejected) {
+  std::vector<std::uint64_t> out;
+  // A descending run, alone and beside well-formed runs.
+  Status s = merge_ascending_runs(Runs{{5, 3}}, out);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  s = merge_ascending_runs(Runs{{1, 2, 3}, {9, 7, 8}, {4}}, out);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("run 1"), std::string::npos) << s.message();
+  // The disorder sits past another run's head (found while skipping a
+  // duplicate) or at the very end of a run.
+  EXPECT_EQ(merge_ascending_runs(Runs{{2, 1}, {2}}, out).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(merge_ascending_runs(Runs{{1, 2, 3, 0}, {10}}, out).code(),
+            StatusCode::kCorruption);
+  // Strictly ascending: a value repeated inside one run is out of order.
+  EXPECT_EQ(merge_ascending_runs(Runs{{4, 4}}, out).code(),
+            StatusCode::kCorruption);
 }
 
 // ---------------------------------------------------------------- Cost model

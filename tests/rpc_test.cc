@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/trace.h"
 #include "rpc/message_bus.h"
 #include "rpc/server_runtime.h"
 
@@ -559,6 +560,90 @@ TEST(ServerRuntime, SequentialRequestsProcessedInOrder) {
     EXPECT_EQ(result.responses[0]->payload[0], i);
   }
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ClientGather, RequestSpanEndsAtItsOwnReply) {
+  // Server 2 takes 20 ms; the other two answer at once.  Their request
+  // spans must close at their own replies, not when the gather returns.
+  MessageBus bus(3);
+  std::vector<std::unique_ptr<ServerRuntime>> servers;
+  for (ServerId s = 0; s < 3; ++s) {
+    servers.push_back(std::make_unique<ServerRuntime>(
+        bus, s,
+        ServerRuntime::TracedHandler(
+            [s](std::span<const std::uint8_t> req, const obs::TraceContext&) {
+              if (s == 2) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+              }
+              return std::vector<std::uint8_t>(req.begin(), req.end());
+            })));
+  }
+  Client client(bus);
+  obs::Tracer tracer(obs::next_id());
+  const obs::SpanId root = tracer.begin(0, "client.query", "client");
+  const GatherResult result =
+      client.gather(to_all(bus, bytes_of("q")),
+                    obs::TraceContext{&tracer, tracer.trace_id(), root});
+  tracer.end(root);
+  ASSERT_TRUE(result.complete());
+  const obs::Trace trace = tracer.take();
+  // Server spans still nest inside their (now earlier-closing) requests.
+  const Status valid = obs::validate_trace(trace);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+
+  std::vector<const obs::Span*> requests(3, nullptr);
+  for (const obs::Span& span : trace.spans) {
+    if (span.name == "rpc.request") {
+      requests[static_cast<std::size_t>(span.arg("server"))] = &span;
+    }
+  }
+  const obs::Span* slow_handle = nullptr;
+  for (const obs::Span& span : trace.spans) {
+    if (span.name == "server.handle" && span.parent == requests[2]->id) {
+      slow_handle = &span;
+    }
+  }
+  ASSERT_NE(slow_handle, nullptr);
+  for (ServerId s = 0; s < 3; ++s) {
+    ASSERT_NE(requests[s], nullptr);
+    EXPECT_EQ(requests[s]->arg("responded"), 1.0);
+  }
+  EXPECT_LT(requests[0]->end_us, slow_handle->end_us);
+  EXPECT_LT(requests[1]->end_us, slow_handle->end_us);
+  EXPECT_GE(requests[2]->end_us, slow_handle->end_us);
+  servers.clear();
+  bus.shutdown();
+}
+
+TEST(ClientGather, UnansweredRequestSpanEndsAtGatherReturn) {
+  // Server 1 never answers: its request span closes when the gather gives
+  // up, marked unanswered.
+  MessageBus bus(2);
+  std::vector<std::unique_ptr<ServerRuntime>> servers;
+  servers.push_back(std::make_unique<ServerRuntime>(
+      bus, 0, [](std::span<const std::uint8_t> req) {
+        return std::vector<std::uint8_t>(req.begin(), req.end());
+      }));
+  RetryPolicy policy;
+  policy.attempt_timeout = std::chrono::milliseconds(20);
+  policy.max_attempts = 1;
+  Client client(bus, policy);
+  obs::Tracer tracer(obs::next_id());
+  const obs::SpanId root = tracer.begin(0, "client.query", "client");
+  const GatherResult result =
+      client.gather(to_all(bus, bytes_of("q")),
+                    obs::TraceContext{&tracer, tracer.trace_id(), root});
+  tracer.end(root);
+  EXPECT_TRUE(result.responses[0].has_value());
+  EXPECT_FALSE(result.responses[1].has_value());
+  const obs::Trace trace = tracer.take();
+  EXPECT_TRUE(obs::validate_trace(trace).ok());
+  for (const obs::Span& span : trace.spans) {
+    if (span.name != "rpc.request") continue;
+    EXPECT_EQ(span.arg("responded"), span.arg("server") == 0.0 ? 1.0 : 0.0);
+  }
+  servers.clear();
+  bus.shutdown();
 }
 
 }  // namespace
