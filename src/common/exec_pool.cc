@@ -119,9 +119,12 @@ void ThreadPool::run_task(Task& task, bool stolen) {
   tls_task.in_task = true;
   tls_task.worker = tls_pool == this ? tls_worker : kNotWorker;
   tls_task.stolen = stolen;
+  // Counted before the body runs: a TaskGroup task signals its waiter from
+  // inside the body, so a count taken after it could still be missing when
+  // wait() returns and the caller reads stats().
+  executed_.fetch_add(1, std::memory_order_relaxed);
   task();
   tls_task = saved;
-  executed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool ThreadPool::try_run_one(const void* tag) {

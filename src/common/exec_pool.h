@@ -59,7 +59,7 @@ struct TaskInfo {
 /// Lifetime counters (atomically maintained, monotone).
 struct PoolStats {
   std::uint64_t submitted = 0;   ///< tasks accepted
-  std::uint64_t executed = 0;    ///< tasks completed
+  std::uint64_t executed = 0;    ///< tasks run (counted as each starts)
   std::uint64_t steals = 0;      ///< tasks taken from another worker's deque
   std::uint64_t queue_peak = 0;  ///< high-water mark of queued (not yet
                                  ///< started) tasks

@@ -168,20 +168,12 @@ QueryService::QueryService(const obj::ObjectStore& store,
     runtime_options.shed_policy = options_.shed_policy;
     runtime_options.tenant_weights = options_.tenant_weights;
     runtime_options.metrics = &metrics_;
-    // Join rounds block waiting for tuples from OTHER servers' handlers;
-    // dispatching them through the shared pool could park every worker in
-    // collect() with no thread left to produce, so they run inline on the
-    // mailbox thread.
-    runtime_options.inline_only = [](std::span<const std::uint8_t> payload) {
-      const auto type = server::peek_request_type(payload);
-      return type.ok() && *type == server::RequestType::kJoinEval;
-    };
     runtimes_.push_back(std::make_unique<rpc::ServerRuntime>(
         bus_, s,
-        rpc::ServerRuntime::TracedHandler(
+        rpc::ServerRuntime::AsyncHandler(
             [qs](std::span<const std::uint8_t> payload,
-                 const obs::TraceContext& trace) {
-              return qs->handle(payload, trace);
+                 const obs::TraceContext& trace, rpc::Reply reply) {
+              qs->handle(payload, trace, std::move(reply));
             }),
         runtime_options));
   }
@@ -228,8 +220,11 @@ QueryService::QueryService(const obj::ObjectStore& store,
 }
 
 QueryService::~QueryService() {
-  // Close the exchange endpoints first: a join handler blocked in
-  // collect()/ship() wakes with failure and its runtime thread can drain.
+  // Close the exchange endpoints first: every join epoch still waiting for
+  // its shuffle settles as failed, and its continuation (inline, or queued
+  // on the pool) answers kUnavailable into the closing bus.  The runtimes,
+  // destroyed before the servers, wait for those continuations' replies,
+  // so no continuation outlives the QueryServer it runs on.
   for (auto& port : ports_) port->close();
   bus_.shutdown();
 }

@@ -193,7 +193,9 @@ struct ServiceOptions {
   /// per-server cpu time becomes max(critical task, total work / N).
   /// Results are bit-identical to serial evaluation.
   std::uint32_t eval_threads = 0;
-  /// With a pool: how many requests one server may process concurrently.
+  /// With a pool: how many requests one server may process concurrently
+  /// (a join counts while its first stage runs, not while it waits for its
+  /// shuffle).
   std::uint32_t max_inflight = 4;
   /// Per-server admission queue limit: requests allowed to wait for a
   /// processing slot beyond the max_inflight already running.  Past the
@@ -216,9 +218,10 @@ struct ServiceOptions {
   std::uint64_t replica_rebuild_threshold = 4096;
   /// Default shuffle strategy for join() (JoinSpec::strategy overrides).
   server::JoinStrategy join_strategy = server::JoinStrategy::kZoneShuffle;
-  /// Exchange-lane reliability deadline: how long a server's ship/collect
-  /// keeps retransmitting/waiting before the epoch fails (kUnavailable and
-  /// the client re-plans onto the survivors).
+  /// Exchange-lane reliability deadline: how long a server's join epoch
+  /// may wait for its shuffle (a timer on the epoch; unacked frames are
+  /// retransmitted meanwhile) before it fails (kUnavailable and the client
+  /// re-plans onto the survivors).
   std::uint32_t join_shuffle_deadline_ms = 500;
   /// Distributed metadata service (ROADMAP item 2).  Non-null: each server
   /// hosts a MetaShard partition of this store's attributes (vnode ring,
@@ -455,8 +458,8 @@ class QueryService {
   std::unique_ptr<exec::ThreadPool> pool_;
   rpc::MessageBus bus_;
   /// Exchange endpoints (one per server), created before the servers that
-  /// hold pointers to them and closed FIRST in the destructor so join
-  /// handlers blocked in collect() wake before anything is torn down.
+  /// hold pointers to them and closed FIRST in the destructor, so every
+  /// pending join continuation settles before anything is torn down.
   std::vector<std::unique_ptr<rpc::ExchangePort>> ports_;
   /// Metadata ring geometry in effect (replicas clamped to num_servers);
   /// meaningful only when meta_shards_ is non-empty.

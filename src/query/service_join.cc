@@ -112,6 +112,7 @@ Result<JoinResult> QueryService::join(const JoinSpec& spec,
     if (epoch_failed || !lost.empty()) {
       log_warn("join epoch ", epoch, " failed; re-running on ",
                servers_where(dead_snapshot(), false).size(), " survivors");
+      metrics_.counter("client.join_epoch_reruns").add();
       continue;
     }
 

@@ -11,10 +11,15 @@ std::uint64_t ack_key(std::uint32_t dest, std::uint32_t seq) noexcept {
   return (static_cast<std::uint64_t>(dest) << 32) | seq;
 }
 
-/// Keep state for at most this many (join, epoch) buckets; abandoned
-/// epochs (failed rounds whose late frames still arrive) are pruned
-/// oldest-first so a long-lived server cannot accumulate them.
-constexpr std::size_t kMaxEpochStates = 64;
+/// Keep at most this many unarmed buckets (frames that arrived before this
+/// server's own start(), or for an epoch it never runs); beyond it the
+/// oldest is pruned so a long-lived server cannot accumulate them.  Armed
+/// buckets are never pruned: their deadline bounds them.
+constexpr std::size_t kMaxUnarmedBuckets = 64;
+
+/// Settled (join, epoch) keys remembered so their late frames are not
+/// buffered again.
+constexpr std::size_t kMaxRetiredKeys = 1024;
 
 }  // namespace
 
@@ -97,206 +102,236 @@ ExchangePort::~ExchangePort() {
 }
 
 void ExchangePort::close() {
+  std::vector<Settled> settled;
   {
     std::lock_guard lock(mu_);
     closed_ = true;
+    for (auto it = buckets_.begin(); it != buckets_.end();) {
+      const auto next = std::next(it);
+      if (it->second.done) settle(it, /*complete=*/false, settled);
+      it = next;
+    }
+    buckets_.clear();
   }
   bus_.exchange_mailbox(id_).close();
-  cv_.notify_all();
+  fire(settled);
 }
 
-void ExchangePort::receive_loop() {
-  Mailbox& inbox = bus_.exchange_mailbox(id_);
-  while (auto message = inbox.pop()) {
-    Envelope envelope;
-    std::span<const std::uint8_t> payload;
-    if (!envelope_unwrap(message->payload, envelope, payload)) {
-      continue;  // checksum failure: corrupted in transit == lost
-    }
-    SerialReader reader(payload);
-    auto frame = ExchangeFrame::Deserialize(reader);
-    if (!frame.ok()) continue;
-    if (frame->kind == ExchangeFrameKind::kAck) {
-      {
-        std::lock_guard lock(mu_);
-        acks_[{frame->join_id, frame->epoch}].insert(
-            ack_key(frame->from, frame->seq));
-      }
-      cv_.notify_all();
-      continue;
-    }
-    // Batch or EOS: record it exactly once, ack it every time (the ack for
-    // an earlier delivery may itself have been dropped).
-    {
-      std::lock_guard lock(mu_);
-      if (!closed_) {
-        EpochState& state = states_[{frame->join_id, frame->epoch}];
-        if (state.stamp == 0) state.stamp = ++stamp_;
-        ProducerStream& stream = state.producers[frame->from];
-        if (frame->kind == ExchangeFrameKind::kEos) {
-          stream.total = frame->batches_total;
-        } else if (stream.seqs.insert(frame->seq).second) {
-          auto& out = frame->side == kSideA ? state.a : state.b;
-          out.insert(out.end(), frame->tuple_storage.begin(),
-                     frame->tuple_storage.end());
-        }
-        if (states_.size() > kMaxEpochStates) {
-          auto oldest = states_.begin();
-          for (auto it = states_.begin(); it != states_.end(); ++it) {
-            if (it->second.stamp < oldest->second.stamp) oldest = it;
-          }
-          states_.erase(oldest);
-        }
-      }
-    }
-    ExchangeFrame ack;
-    ack.kind = ExchangeFrameKind::kAck;
-    ack.join_id = frame->join_id;
-    ack.epoch = frame->epoch;
-    ack.from = id_;
-    ack.seq = frame->seq;
-    std::uint64_t frame_id;
-    {
-      std::lock_guard lock(mu_);
-      frame_id = next_frame_id_++;
-    }
-    bus_.send_to_exchange(
-        id_, frame->from,
-        envelope_wrap(Envelope{.request_id = frame_id}, ack.serialize()));
-    cv_.notify_all();
+void ExchangePort::fire(std::vector<Settled>& settled) {
+  for (Settled& s : settled) s.done(std::move(s.outcome));
+  settled.clear();
+}
+
+void ExchangePort::send_frame(ServerId dest, std::uint32_t attempt,
+                              std::span<const std::uint8_t> bytes) {
+  bus_.send_to_exchange(
+      id_, dest,
+      envelope_wrap(Envelope{.request_id = next_frame_id_.fetch_add(
+                                 1, std::memory_order_relaxed),
+                             .attempt = attempt},
+                    bytes));
+}
+
+void ExchangePort::settle(std::map<EpochKey, Bucket>::iterator it,
+                          bool complete, std::vector<Settled>& settled) {
+  Bucket& bucket = it->second;
+  Settled s;
+  s.done = std::move(bucket.done);
+  s.outcome.complete = complete;
+  s.outcome.stats = bucket.stats;
+  if (complete) {
+    s.outcome.tuples.a = std::move(bucket.a);
+    s.outcome.tuples.b = std::move(bucket.b);
   }
-  // Mailbox closed: fail every waiter.
+  settled.push_back(std::move(s));
+  if (retired_.insert(it->first).second) {
+    retired_order_.push_back(it->first);
+    if (retired_order_.size() > kMaxRetiredKeys) {
+      retired_.erase(retired_order_.front());
+      retired_order_.pop_front();
+    }
+  }
+  buckets_.erase(it);
+}
+
+void ExchangePort::settle_if_complete(std::map<EpochKey, Bucket>::iterator it,
+                                      std::vector<Settled>& settled) {
+  const Bucket& bucket = it->second;
+  if (!bucket.done || !bucket.unacked.empty()) return;
+  for (const ServerId p : bucket.remote) {
+    const auto stream = bucket.producers.find(p);
+    if (stream == bucket.producers.end() || !stream->second.complete()) {
+      return;
+    }
+  }
+  settle(it, /*complete=*/true, settled);
+}
+
+void ExchangePort::start(std::uint64_t join_id, std::uint32_t epoch,
+                         const std::vector<ServerId>& producers,
+                         std::vector<OutboundFrame> frames,
+                         Continuation done) {
+  const EpochKey key{join_id, epoch};
+  const auto shared =
+      std::make_shared<const std::vector<OutboundFrame>>(std::move(frames));
+  std::vector<Settled> settled;
   {
     std::lock_guard lock(mu_);
-    closed_ = true;
+    if (closed_ || retired_.count(key) != 0) {
+      // A closed port, or an epoch this server already settled: nothing
+      // can complete it any more.
+      settled.push_back({std::move(done), ShuffleOutcome{}});
+    } else {
+      // Arm before sending, so every ack finds the bucket it belongs to.
+      const auto [it, inserted] = buckets_.try_emplace(key);
+      Bucket& bucket = it->second;
+      if (inserted) bucket.stamp = ++stamp_;
+      bucket.done = std::move(done);
+      for (const ServerId p : producers) {
+        if (p != id_) bucket.remote.push_back(p);
+      }
+      bucket.frames = shared;
+      for (const OutboundFrame& f : *shared) {
+        bucket.unacked.insert(ack_key(f.dest, f.seq));
+        bucket.stats.bytes_sent += f.bytes.size();
+        ++bucket.stats.msgs_sent;
+      }
+      const auto now = Clock::now();
+      bucket.deadline = now + options_.deadline;
+      bucket.next_retransmit = now + options_.retransmit_interval;
+      settle_if_complete(it, settled);
+    }
   }
-  cv_.notify_all();
+  if (settled.empty()) {
+    for (const OutboundFrame& f : *shared) send_frame(f.dest, 0, f.bytes);
+    // The receiver may sleep past this bucket's first timer: an empty
+    // message (not a frame) wakes it to re-read its timers.
+    bus_.exchange_mailbox(id_).push(Message{id_, {}});
+  }
+  fire(settled);
 }
 
-bool ExchangePort::ship(std::uint64_t join_id, std::uint32_t epoch,
-                        const std::vector<OutboundFrame>& frames,
-                        ShuffleStats& stats) {
-  if (frames.empty()) return true;
-  const EpochKey key{join_id, epoch};
-  const auto deadline = std::chrono::steady_clock::now() + options_.deadline;
-  std::uint32_t attempt = 0;
-  while (true) {
-    // (Re)transmit every frame not yet acked.
-    std::vector<const OutboundFrame*> unacked;
-    {
-      std::lock_guard lock(mu_);
-      if (closed_) return false;
-      const auto it = acks_.find(key);
-      for (const OutboundFrame& f : frames) {
-        if (it == acks_.end() ||
-            it->second.count(ack_key(f.dest, f.seq)) == 0) {
-          unacked.push_back(&f);
-        }
-      }
+bool ExchangePort::on_frame(const ExchangeFrame& frame,
+                            std::vector<Settled>& settled) {
+  const EpochKey key{frame.join_id, frame.epoch};
+  std::lock_guard lock(mu_);
+  if (closed_) return false;
+  if (frame.kind == ExchangeFrameKind::kAck) {
+    const auto it = buckets_.find(key);
+    if (it != buckets_.end() && it->second.done) {
+      it->second.unacked.erase(ack_key(frame.from, frame.seq));
+      settle_if_complete(it, settled);
     }
-    if (unacked.empty()) {
-      std::lock_guard lock(mu_);
-      acks_.erase(key);
-      return true;
-    }
-    for (const OutboundFrame* f : unacked) {
-      std::uint64_t frame_id;
-      {
-        std::lock_guard lock(mu_);
-        frame_id = next_frame_id_++;
-      }
-      bus_.send_to_exchange(
-          id_, f->dest,
-          envelope_wrap(Envelope{.request_id = frame_id, .attempt = attempt},
-                        f->bytes));
-      stats.bytes_sent += f->bytes.size();
-      ++stats.msgs_sent;
-      if (attempt > 0) ++stats.retransmits;
-    }
-    const auto wake = std::min(
-        deadline,
-        std::chrono::steady_clock::now() + options_.retransmit_interval);
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait_until(lock, wake, [&] {
-        if (closed_) return true;
-        const auto it = acks_.find(key);
-        if (it == acks_.end()) return false;
-        return std::all_of(frames.begin(), frames.end(),
-                           [&](const OutboundFrame& f) {
-                             return it->second.count(
-                                        ack_key(f.dest, f.seq)) != 0;
-                           });
-      });
-      if (closed_) return false;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      bool done;
-      {
-        std::lock_guard lock(mu_);
-        const auto it = acks_.find(key);
-        done = it != acks_.end() &&
-               std::all_of(frames.begin(), frames.end(),
-                           [&](const OutboundFrame& f) {
-                             return it->second.count(
-                                        ack_key(f.dest, f.seq)) != 0;
-                           });
-        acks_.erase(key);
-      }
-      return done;
-    }
-    ++attempt;
+    return false;
   }
-}
-
-bool ExchangePort::stream_complete(
-    const EpochState& state, const std::vector<ServerId>& producers) const {
-  for (const ServerId p : producers) {
-    if (p == id_) continue;
-    const auto it = state.producers.find(p);
-    if (it == state.producers.end() || !it->second.complete()) return false;
+  // Batch or EOS: record it exactly once, ack it every time (the ack for an
+  // earlier delivery may itself have been lost).  A retired epoch's late
+  // frames are acked and dropped.
+  if (retired_.count(key) != 0) return true;
+  const auto [it, inserted] = buckets_.try_emplace(key);
+  Bucket& bucket = it->second;
+  if (inserted) bucket.stamp = ++stamp_;
+  ProducerStream& stream = bucket.producers[frame.from];
+  if (frame.kind == ExchangeFrameKind::kEos) {
+    stream.total = frame.batches_total;
+  } else if (stream.seqs.insert(frame.seq).second) {
+    auto& out = frame.side == kSideA ? bucket.a : bucket.b;
+    out.insert(out.end(), frame.tuples.begin(), frame.tuples.end());
+  }
+  settle_if_complete(it, settled);
+  if (buckets_.size() > kMaxUnarmedBuckets) {
+    std::size_t unarmed = 0;
+    auto oldest = buckets_.end();
+    for (auto b = buckets_.begin(); b != buckets_.end(); ++b) {
+      if (b->second.done) continue;
+      ++unarmed;
+      if (oldest == buckets_.end() || b->second.stamp < oldest->second.stamp) {
+        oldest = b;
+      }
+    }
+    if (unarmed > kMaxUnarmedBuckets) buckets_.erase(oldest);
   }
   return true;
 }
 
-std::optional<CollectedTuples> ExchangePort::collect(
-    std::uint64_t join_id, std::uint32_t epoch,
-    const std::vector<ServerId>& producers) {
-  const EpochKey key{join_id, epoch};
-  const auto deadline = std::chrono::steady_clock::now() + options_.deadline;
-  std::unique_lock lock(mu_);
-  const bool complete = cv_.wait_until(lock, deadline, [&] {
-    if (closed_) return true;
-    const auto it = states_.find(key);
-    // An epoch with no remote producers completes vacuously on an absent
-    // state bucket.
-    return stream_complete(it != states_.end() ? it->second : EpochState{},
-                           producers);
-  });
-  if (closed_) return std::nullopt;
-  const auto it = states_.find(key);
-  if (!complete &&
-      !stream_complete(it != states_.end() ? it->second : EpochState{},
-                       producers)) {
-    return std::nullopt;
+void ExchangePort::on_timers(Clock::time_point now,
+                             std::vector<Resend>& resends,
+                             std::vector<Settled>& settled) {
+  std::lock_guard lock(mu_);
+  for (auto it = buckets_.begin(); it != buckets_.end();) {
+    const auto next = std::next(it);
+    Bucket& bucket = it->second;
+    if (bucket.done) {
+      if (now >= bucket.deadline) {
+        settle(it, /*complete=*/false, settled);
+      } else if (now >= bucket.next_retransmit && !bucket.unacked.empty()) {
+        Resend resend{bucket.frames, {}, ++bucket.attempt};
+        for (std::size_t i = 0; i < bucket.frames->size(); ++i) {
+          const OutboundFrame& f = (*bucket.frames)[i];
+          if (bucket.unacked.count(ack_key(f.dest, f.seq)) == 0) continue;
+          resend.indices.push_back(i);
+          bucket.stats.bytes_sent += f.bytes.size();
+          ++bucket.stats.msgs_sent;
+          ++bucket.stats.retransmits;
+        }
+        resends.push_back(std::move(resend));
+        bucket.next_retransmit = now + options_.retransmit_interval;
+      }
+    }
+    it = next;
   }
-  CollectedTuples out;
-  if (it != states_.end()) {
-    out.a = std::move(it->second.a);
-    out.b = std::move(it->second.b);
-    states_.erase(it);
-  }
-  return out;
 }
 
-void ExchangePort::forget(std::uint64_t join_id) {
+ExchangePort::Clock::time_point ExchangePort::next_wake() const {
+  auto wake = Clock::now() + std::chrono::hours(1);
   std::lock_guard lock(mu_);
-  for (auto it = states_.begin(); it != states_.end();) {
-    it = it->first.first == join_id ? states_.erase(it) : std::next(it);
+  for (const auto& [key, bucket] : buckets_) {
+    if (!bucket.done) continue;
+    wake = std::min(wake, bucket.deadline);
+    if (!bucket.unacked.empty()) wake = std::min(wake, bucket.next_retransmit);
   }
-  for (auto it = acks_.begin(); it != acks_.end();) {
-    it = it->first.first == join_id ? acks_.erase(it) : std::next(it);
+  return wake;
+}
+
+void ExchangePort::receive_loop() {
+  Mailbox& inbox = bus_.exchange_mailbox(id_);
+  std::vector<Settled> settled;
+  std::vector<Resend> resends;
+  while (true) {
+    std::optional<Message> message = inbox.pop_until(next_wake());
+    if (message.has_value()) {
+      Envelope envelope;
+      std::span<const std::uint8_t> payload;
+      // A checksum failure is corruption in transit: treated as loss (an
+      // empty wake-up message from start() fails it too).
+      if (envelope_unwrap(message->payload, envelope, payload)) {
+        SerialReader reader(payload);
+        auto frame = ExchangeFrame::Deserialize(reader);
+        if (frame.ok() && on_frame(*frame, settled)) {
+          ExchangeFrame ack;
+          ack.kind = ExchangeFrameKind::kAck;
+          ack.join_id = frame->join_id;
+          ack.epoch = frame->epoch;
+          ack.from = id_;
+          ack.seq = frame->seq;
+          send_frame(frame->from, 0, ack.serialize());
+        }
+      }
+    } else if (inbox.closed()) {
+      break;
+    }
+    on_timers(Clock::now(), resends, settled);
+    for (const Resend& r : resends) {
+      for (const std::size_t i : r.indices) {
+        const OutboundFrame& f = (*r.frames)[i];
+        send_frame(f.dest, r.attempt, f.bytes);
+      }
+    }
+    resends.clear();
+    fire(settled);
   }
+  // Mailbox closed (bus shutdown or close()): fail whatever is still armed.
+  close();
 }
 
 }  // namespace pdc::rpc

@@ -7,11 +7,14 @@ namespace pdc::rpc {
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), rng_(plan_.seed) {}
 
-SendDecision FaultInjector::on_send(Direction /*direction*/,
+SendDecision FaultInjector::on_send(Direction direction,
                                     ServerId /*server*/,
                                     std::span<const std::uint8_t> /*payload*/) {
-  std::lock_guard lock(mu_);
   SendDecision decision;
+  if (plan_.only_direction.has_value() && *plan_.only_direction != direction) {
+    return decision;
+  }
+  std::lock_guard lock(mu_);
   if (plan_.drop_rate > 0.0 && rng_.next_double() < plan_.drop_rate) {
     decision.drop = true;
     ++counters_.dropped;

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,6 +55,10 @@ struct FaultPlan {
   /// Uniform delay range for delayed messages.
   std::chrono::milliseconds min_delay{1};
   std::chrono::milliseconds max_delay{20};
+
+  /// Apply the per-message faults above only to messages travelling this
+  /// way (e.g. only the exchange lane); empty = every direction.
+  std::optional<Direction> only_direction;
 
   /// Scripted whole-server failures (node crash / wedged daemon analogue).
   struct ServerFault {

@@ -1,6 +1,7 @@
 #include "rpc/message_bus.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/serial.h"
 
@@ -18,13 +19,76 @@ std::uint64_t steady_now_us() noexcept {
           .count());
 }
 
-std::uint64_t payload_checksum(
-    std::span<const std::uint8_t> payload) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const std::uint8_t b : payload) {
-    h ^= b;
-    h *= 0x100000001B3ull;
+namespace {
+
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
+
+constexpr std::uint64_t rotl(std::uint64_t x, int r) noexcept {
+  return (x << r) | (x >> (64 - r));
+}
+
+/// One lane step.  It is a bijection in `acc` for a fixed `word` and in
+/// `word` for a fixed `acc`, so a changed word always changes the lane and
+/// every later step carries that change through to the result.
+constexpr std::uint64_t mix(std::uint64_t acc, std::uint64_t word) noexcept {
+  return rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t load_word(const std::uint8_t* p) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+/// Envelope fields before the checksum: magic, request_id, attempt,
+/// tenant, flags, deadline_us, trace_id, parent_span.
+constexpr std::size_t kChecksumOffset = 4 * sizeof(std::uint32_t) +
+                                        4 * sizeof(std::uint64_t);
+
+/// Checksum of a whole frame: every byte but the checksum field itself.
+std::uint64_t frame_checksum(std::span<const std::uint8_t> frame) noexcept {
+  return payload_checksum(
+      frame.subspan(kChecksumOffset + sizeof(std::uint64_t)),
+      payload_checksum(frame.first(kChecksumOffset)));
+}
+
+}  // namespace
+
+std::uint64_t payload_checksum(std::span<const std::uint8_t> data,
+                               std::uint64_t seed) noexcept {
+  // Four independent 64-bit lanes over 32-byte stripes keep the multiplies
+  // pipelined; the tail folds word by word, then the seed, then a
+  // bijective avalanche.  Every step is injective in the word it consumes,
+  // so two same-length inputs that differ within one 8-byte word (any
+  // single flipped byte) always hash differently.
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint64_t v0 = kPrime1 + kPrime2;
+  std::uint64_t v1 = kPrime2;
+  std::uint64_t v2 = 0;
+  std::uint64_t v3 = 0 - kPrime1;
+  for (; n >= 32; p += 32, n -= 32) {
+    v0 = mix(v0, load_word(p));
+    v1 = mix(v1, load_word(p + 8));
+    v2 = mix(v2, load_word(p + 16));
+    v3 = mix(v3, load_word(p + 24));
   }
+  std::uint64_t h = rotl(v0, 1) + rotl(v1, 7) + rotl(v2, 12) + rotl(v3, 18) +
+                    data.size();
+  for (; n >= 8; p += 8, n -= 8) h = mix(h, load_word(p));
+  if (n > 0) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, p, n);
+    h = mix(h, tail);
+  }
+  h = mix(h, seed);
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -33,9 +97,9 @@ std::vector<std::uint8_t> envelope_wrap(const Envelope& header,
                                         std::span<const std::uint8_t> trace_blob) {
   // Frame: magic, request_id, attempt, tenant, flags, deadline_us,
   // trace_id, parent_span, checksum, payload_len, payload bytes, trace
-  // baggage (remainder).  The checksum covers everything after itself, so
-  // a corrupted trace blob drops the whole frame — retries then recover
-  // trace and payload alike.
+  // baggage (remainder).  The checksum covers every byte but itself, so a
+  // corrupted header field or trace blob drops the whole frame — retries
+  // then recover header, trace and payload alike.
   SerialWriter w(4 * sizeof(std::uint32_t) + 7 * sizeof(std::uint64_t) +
                  payload.size() + trace_blob.size());
   w.put(kEnvelopeMagic);
@@ -46,16 +110,13 @@ std::vector<std::uint8_t> envelope_wrap(const Envelope& header,
   w.put(header.deadline_us);
   w.put(header.trace_id);
   w.put(header.parent_span);
-  const std::size_t checksum_pos = w.size();
   w.put<std::uint64_t>(0);  // checksum backpatched below
   w.put<std::uint64_t>(payload.size());
   w.put_raw(payload);
   w.put_raw(trace_blob);
   std::vector<std::uint8_t> frame = w.take();
-  const std::uint64_t checksum = payload_checksum(
-      std::span<const std::uint8_t>(frame).subspan(checksum_pos +
-                                                   sizeof(std::uint64_t)));
-  std::memcpy(frame.data() + checksum_pos, &checksum, sizeof(checksum));
+  const std::uint64_t checksum = frame_checksum(frame);
+  std::memcpy(frame.data() + kChecksumOffset, &checksum, sizeof(checksum));
   return frame;
 }
 
@@ -74,9 +135,7 @@ bool envelope_unwrap(std::span<const std::uint8_t> frame, Envelope& header,
       !r.get(parsed.parent_span).ok() || !r.get(checksum).ok()) {
     return false;
   }
-  const std::span<const std::uint8_t> body =
-      frame.subspan(frame.size() - r.remaining());
-  if (payload_checksum(body) != checksum) return false;
+  if (frame_checksum(frame) != checksum) return false;
   if (!r.get(payload_len).ok() || payload_len > r.remaining()) return false;
   header = parsed;
   payload = frame.subspan(frame.size() - r.remaining(),

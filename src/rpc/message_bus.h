@@ -44,8 +44,8 @@ struct Message {
 /// the request id (stable across retries, so stale/duplicate responses can
 /// be discarded), the attempt number, the absolute deadline after which the
 /// receiver may drop the message unprocessed, the trace id + parent span id
-/// of the issuing operation (zero when untraced), and a checksum over the
-/// frame body so in-transit corruption is detected at the transport layer
+/// of the issuing operation (zero when untraced), and a checksum over every
+/// other frame byte so in-transit corruption is detected at the transport layer
 /// (the lost message is then recovered by the client's retry, exactly like
 /// a drop).
 struct Envelope {
@@ -72,9 +72,13 @@ inline constexpr std::uint32_t kFlagShed = 1u << 0;
 /// Current steady-clock time in the Envelope::deadline_us unit.
 [[nodiscard]] std::uint64_t steady_now_us() noexcept;
 
-/// FNV-1a over the payload bytes (transport checksum).
-[[nodiscard]] std::uint64_t payload_checksum(
-    std::span<const std::uint8_t> payload) noexcept;
+/// Word-wise 64-bit transport checksum of `data`, chained from `seed`: four
+/// 64-bit lanes over 8-byte words.  Two inputs of the same length that
+/// differ within one 8-byte word never collide.  An envelope's checksum is
+/// payload_checksum(body, payload_checksum(header)): it covers every frame
+/// byte except the checksum field itself.
+[[nodiscard]] std::uint64_t payload_checksum(std::span<const std::uint8_t> data,
+                                             std::uint64_t seed = 0) noexcept;
 
 /// Serialize `header` + `payload` into one wire frame.  `trace_blob` is
 /// transport baggage appended after the payload (serialized obs spans on a

@@ -26,8 +26,55 @@ double unit_uniform(std::uint64_t& state) noexcept {
 
 }  // namespace
 
+/// One handled request's answer channel, shared by the runtime (until the
+/// handler returns) and the Reply (until it is sent or dropped).
+struct Reply::State {
+  State(ServerRuntime& rt, const Envelope& env, std::uint64_t start)
+      : runtime(rt), envelope(env), start_us(start) {
+    runtime.acquire_reply();
+    if (env.trace_id != 0) tracer = std::make_unique<obs::Tracer>(env.trace_id);
+  }
+  ~State() { runtime.release_reply(); }
+  State(const State&) = delete;
+  State& operator=(const State&) = delete;
+
+  /// Context parented at the client's request span (like "server.handle").
+  [[nodiscard]] obs::TraceContext root() const noexcept {
+    if (tracer == nullptr) return {};
+    return {tracer.get(), envelope.trace_id, envelope.parent_span};
+  }
+
+  ServerRuntime& runtime;
+  const Envelope envelope;
+  const std::uint64_t start_us;
+  /// Collects this request's server-side spans (traced requests only).
+  std::unique_ptr<obs::Tracer> tracer;
+  std::mutex mu;
+  /// Set once the handler returned and its "server.handle" span closed.
+  bool handler_returned = false;
+  /// A reply sent before the handler returned, delivered when it does.
+  std::optional<std::vector<std::uint8_t>> early;
+};
+
+obs::TraceContext Reply::trace() const noexcept {
+  return state_ != nullptr ? state_->root() : obs::TraceContext{};
+}
+
+void Reply::send(std::vector<std::uint8_t> response) && {
+  const std::shared_ptr<State> state = std::move(state_);
+  if (state == nullptr) return;
+  {
+    std::lock_guard lock(state->mu);
+    if (!state->handler_returned) {
+      state->early = std::move(response);
+      return;
+    }
+  }
+  state->runtime.deliver(*state, std::move(response));
+}
+
 ServerRuntime::ServerRuntime(MessageBus& bus, ServerId id,
-                             TracedHandler handler,
+                             AsyncHandler handler,
                              ServerRuntimeOptions options)
     : bus_(bus), id_(id), handler_(std::move(handler)), options_(options) {
   if (options_.max_inflight == 0) options_.max_inflight = 1;
@@ -62,12 +109,25 @@ ServerRuntime::ServerRuntime(MessageBus& bus, ServerId id,
 ServerRuntime::~ServerRuntime() {
   bus_.server_mailbox(id_).close();
   if (thread_.joinable()) thread_.join();
-  // Pooled requests capture `this`; wait until the last one has finished
-  // before the members they use go away.
+  // Pooled requests and outstanding Replies point at `this`; wait until the
+  // last one has finished before the members they use go away.
   std::unique_lock lock(inflight_mu_);
   stopping_ = true;
   queue_.clear();
-  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
+  inflight_cv_.wait(lock, [this] { return inflight_ == 0 && replies_ == 0; });
+}
+
+void ServerRuntime::acquire_reply() {
+  std::lock_guard lock(inflight_mu_);
+  ++replies_;
+}
+
+void ServerRuntime::release_reply() {
+  std::lock_guard lock(inflight_mu_);
+  --replies_;
+  // Notify under the lock, as in run_pooled: the destructor may destroy
+  // the cv as soon as its wait observes the last release.
+  inflight_cv_.notify_all();
 }
 
 std::uint64_t ServerRuntime::sheds() const {
@@ -149,13 +209,6 @@ void ServerRuntime::loop() {
     }
     const std::uint64_t dequeued_us = obs::now_us();
     if (options_.pool == nullptr && !inline_bounded) {
-      handle_request(envelope, request, dequeued_us);
-      continue;
-    }
-    if (options_.inline_only && options_.inline_only(request)) {
-      // Exchange-coordinating request: serve it here, on this server's own
-      // thread, so N such handlers across N servers always make progress
-      // regardless of pool width (see ServerRuntimeOptions::inline_only).
       handle_request(envelope, request, dequeued_us);
       continue;
     }
@@ -276,42 +329,50 @@ void ServerRuntime::handle_request(const Envelope& envelope,
                                    std::uint64_t dequeued_us) {
   if (requests_metric_ != nullptr) requests_metric_->add();
   const std::uint64_t start_us = obs::now_us();
-  if (envelope.trace_id == 0) {
-    std::vector<std::uint8_t> response = handler_(request, {});
-    if (handle_seconds_metric_ != nullptr) {
-      handle_seconds_metric_->observe(
-          static_cast<double>(obs::now_us() - start_us) * 1e-6);
-    }
-    bus_.send_to_client(id_, envelope_wrap(envelope, response));
-    return;
-  }
-  // Traced request: collect this request's server-side spans in a local
-  // tracer and ship them back as response-frame baggage.  The queue span
+  const auto state = std::make_shared<Reply::State>(*this, envelope, start_us);
+  // Traced request: this request's server-side spans collect in the
+  // state's tracer and ship back as response-frame baggage.  The queue span
   // covers dequeue -> handler start (admission wait + pool queueing).
-  obs::Tracer tracer(envelope.trace_id);
-  const std::string actor = "server" + std::to_string(id_);
-  obs::Span queue_span;
-  queue_span.id = obs::next_id();
-  queue_span.parent = envelope.parent_span;
-  queue_span.start_us = dequeued_us;
-  queue_span.end_us = std::max(start_us, dequeued_us);
-  queue_span.name = "server.queue";
-  queue_span.actor = actor;
-  tracer.record(std::move(queue_span));
-  obs::ScopedSpan handle(
-      obs::TraceContext{&tracer, envelope.trace_id, envelope.parent_span},
-      "server.handle", actor);
-  handle.arg("server", static_cast<double>(id_));
-  handle.arg("attempt", static_cast<double>(envelope.attempt));
-  std::vector<std::uint8_t> response = handler_(request, handle.context());
-  handle.close();
+  const std::string actor =
+      state->tracer != nullptr ? "server" + std::to_string(id_) : "";
+  if (state->tracer != nullptr) {
+    obs::Span queue_span;
+    queue_span.id = obs::next_id();
+    queue_span.parent = envelope.parent_span;
+    queue_span.start_us = dequeued_us;
+    queue_span.end_us = std::max(start_us, dequeued_us);
+    queue_span.name = "server.queue";
+    queue_span.actor = actor;
+    state->tracer->record(std::move(queue_span));
+  }
+  {
+    obs::ScopedSpan handle(state->root(), "server.handle", actor);
+    handle.arg("server", static_cast<double>(id_));
+    handle.arg("attempt", static_cast<double>(envelope.attempt));
+    handler_(request, handle.context(), Reply(state));
+  }
+  std::optional<std::vector<std::uint8_t>> early;
+  {
+    std::lock_guard lock(state->mu);
+    state->handler_returned = true;
+    early = std::move(state->early);
+  }
+  if (early.has_value()) deliver(*state, std::move(*early));
+}
+
+void ServerRuntime::deliver(Reply::State& state,
+                            std::vector<std::uint8_t> response) {
   if (handle_seconds_metric_ != nullptr) {
     handle_seconds_metric_->observe(
-        static_cast<double>(obs::now_us() - start_us) * 1e-6);
+        static_cast<double>(obs::now_us() - state.start_us) * 1e-6);
+  }
+  if (state.tracer == nullptr) {
+    bus_.send_to_client(id_, envelope_wrap(state.envelope, response));
+    return;
   }
   bus_.send_to_client(
-      id_, envelope_wrap(envelope, response,
-                         obs::serialize_spans(tracer.take().spans)));
+      id_, envelope_wrap(state.envelope, response,
+                         obs::serialize_spans(state.tracer->take().spans)));
 }
 
 Client::Client(MessageBus& bus, RetryPolicy policy)

@@ -7,7 +7,16 @@
 // several requests — the intra-server parallelism of paper §III-C ("each
 // PDC server [uses] multiple threads to process the query in parallel").
 // Without a pool every request is handled inline, one at a time, in
-// arrival order.
+// arrival order.  Every request type takes the same path: admission,
+// shedding and weighted-fair queueing apply to all of them.
+//
+// Deferred replies: a handler answers through the request's Reply, either
+// before it returns or later, from any thread.  A request whose answer
+// depends on other servers (a join epoch waiting for its shuffle) returns
+// at once and leaves the Reply to a continuation, so no handler ever
+// blocks on a peer and the request's inflight slot is free as soon as the
+// handler returns.  The runtime outlives every Reply it handed out: its
+// destructor waits for the last one.
 //
 // The client's broadcast-gather runs on a background thread (paper §III-C:
 // "the client has a background thread that aggregates the results received
@@ -27,6 +36,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -65,18 +75,43 @@ struct ServerRuntimeOptions {
   /// or non-positive = weight 1).  With the default empty vector every
   /// tenant weighs 1 and the wait queue degenerates to FIFO.
   std::vector<double> tenant_weights;
-  /// Requests matching this predicate (on the unwrapped request payload)
-  /// are handled inline on the mailbox thread, bypassing pool dispatch and
-  /// admission.  Needed for exchange-coordinating requests (kJoinEval):
-  /// their handlers block on tuples from *other* servers' handlers, so
-  /// running them through a shared pool of fewer workers than servers
-  /// would deadlock.  Null = dispatch everything normally.
-  std::function<bool(std::span<const std::uint8_t>)> inline_only;
   /// Deployment metrics (null = unmetered).  The runtime registers
   /// "rpc.server<id>.requests", ".shed", ".expired", a ".handle_seconds"
   /// wall latency histogram, and queue/mailbox depth gauges.  Must outlive
   /// the runtime.
   obs::MetricsRegistry* metrics = nullptr;
+};
+
+class ServerRuntime;
+
+/// The answer channel of one request.  Move-only: the handler answers with
+/// std::move(reply).send(bytes) before it returns, or moves the Reply into
+/// a continuation that answers later from any thread.  A Reply dropped
+/// unsent answers nothing (a duplicate whose original is still running).
+/// A send made before the handler returned goes out when it returns, after
+/// its "server.handle" span closed.
+class Reply {
+ public:
+  Reply() = default;
+  Reply(Reply&&) noexcept = default;
+  Reply& operator=(Reply&&) noexcept = default;
+  Reply(const Reply&) = delete;
+  Reply& operator=(const Reply&) = delete;
+
+  /// Parent context for a later stage's spans, parented like the
+  /// runtime's "server.handle" span (disabled when the request is
+  /// untraced or the Reply is empty).  Spans recorded through it travel
+  /// back with the reply.
+  [[nodiscard]] obs::TraceContext trace() const noexcept;
+
+  /// Answer the request (no-op on an empty Reply).
+  void send(std::vector<std::uint8_t> response) &&;
+
+ private:
+  friend class ServerRuntime;
+  struct State;
+  explicit Reply(std::shared_ptr<State> state) : state_(std::move(state)) {}
+  std::shared_ptr<State> state_;
 };
 
 /// Runs one server's request loop on a dedicated thread.
@@ -93,9 +128,23 @@ class ServerRuntime {
   /// span; the handler's spans travel back in the response frame.
   using TracedHandler = std::function<std::vector<std::uint8_t>(
       std::span<const std::uint8_t>, const obs::TraceContext&)>;
+  /// Deferring handler: as TracedHandler, but it answers through the
+  /// request's Reply — now or from a continuation (see Reply).
+  using AsyncHandler = std::function<void(
+      std::span<const std::uint8_t>, const obs::TraceContext&, Reply)>;
 
-  ServerRuntime(MessageBus& bus, ServerId id, TracedHandler handler,
+  ServerRuntime(MessageBus& bus, ServerId id, AsyncHandler handler,
                 ServerRuntimeOptions options = {});
+  ServerRuntime(MessageBus& bus, ServerId id, TracedHandler handler,
+                ServerRuntimeOptions options = {})
+      : ServerRuntime(bus, id,
+                      AsyncHandler([handler = std::move(handler)](
+                                       std::span<const std::uint8_t> payload,
+                                       const obs::TraceContext& trace,
+                                       Reply reply) {
+                        std::move(reply).send(handler(payload, trace));
+                      }),
+                      options) {}
   /// Convenience: wrap a trace-unaware handler (tests, simple servers).
   ServerRuntime(MessageBus& bus, ServerId id, Handler handler,
                 ServerRuntimeOptions options = {})
@@ -108,7 +157,8 @@ class ServerRuntime {
                       options) {}
 
   /// Closes the mailbox, joins the thread, and waits for in-flight pooled
-  /// requests to finish (their replies may still be delivered).
+  /// requests to finish and for every outstanding Reply to be sent or
+  /// dropped (their replies may still be delivered).
   ~ServerRuntime();
 
   ServerRuntime(const ServerRuntime&) = delete;
@@ -122,6 +172,8 @@ class ServerRuntime {
   [[nodiscard]] std::size_t queue_peak() const;
 
  private:
+  friend class Reply;
+
   /// One admitted-but-not-yet-running request parked in the wait queue.
   /// The frame owns the bytes; it is re-unwrapped at dispatch (cheap:
   /// header check + checksum).
@@ -147,27 +199,35 @@ class ServerRuntime {
   [[nodiscard]] bool expired(const Envelope& envelope) const noexcept {
     return envelope.deadline_us != 0 && steady_now_us() > envelope.deadline_us;
   }
-  /// Run the handler for one unwrapped request and send the reply,
-  /// opening server-side spans when the envelope carries a trace id.
-  /// `dequeued_us` timestamps when the request left the mailbox (the
-  /// "server.queue" span covers dequeue -> handler start, i.e. admission
-  /// wait plus pool queueing).
+  /// Run the handler for one unwrapped request, opening server-side spans
+  /// when the envelope carries a trace id; the reply goes out when the
+  /// handler sends it (at once, or from a continuation).  `dequeued_us`
+  /// timestamps when the request left the mailbox (the "server.queue"
+  /// span covers dequeue -> handler start, i.e. admission wait plus pool
+  /// queueing).
   void handle_request(const Envelope& envelope,
                       std::span<const std::uint8_t> request,
                       std::uint64_t dequeued_us);
+  /// Wrap and send one reply (Reply's delivery step).
+  void deliver(Reply::State& state, std::vector<std::uint8_t> response);
+  /// Count a Reply::State in and out; the destructor waits for the last.
+  void acquire_reply();
+  void release_reply();
 
   MessageBus& bus_;
   ServerId id_;
-  TracedHandler handler_;
+  AsyncHandler handler_;
   ServerRuntimeOptions options_;
   obs::Counter* requests_metric_ = nullptr;
   obs::Counter* shed_metric_ = nullptr;
   obs::Counter* expired_metric_ = nullptr;
   obs::LatencyHistogram* handle_seconds_metric_ = nullptr;
-  /// Guards inflight_, queue_, and stopping_ (admission state).
+  /// Guards inflight_, replies_, queue_, and stopping_ (admission state).
   mutable std::mutex inflight_mu_;
   std::condition_variable inflight_cv_;
   std::uint32_t inflight_ = 0;
+  /// Reply::States alive (handled requests whose answer has not left yet).
+  std::uint32_t replies_ = 0;
   WeightedFairQueue<Pending> queue_;
   /// Set when the mailbox loop exits (shutdown, kill or stall fate):
   /// queued requests are dropped and completions stop chaining.

@@ -1,22 +1,31 @@
 // QueryServer::join_eval — one epoch of a cross-object epsilon join
-// (ROADMAP item 4; zones algorithm after Nieto-Santisteban et al.).
+// (zones algorithm after Nieto-Santisteban et al.), in two stages that never
+// wait on another server.
 //
-// Every participant runs this handler for the same (join_id, epoch):
+// Every participant runs stage 1 for the same (join_id, epoch), as an
+// ordinary admitted request:
 //
 //   1. Candidate production: evaluate each side's value pre-filter with the
 //      ordinary local pipeline (locations on), gather the matching values,
 //      and turn them into (zone, value, pos) tuples.
 //   2. Partition + ship: bucket the tuples per participant — kZoneShuffle
 //      routes each tuple to the owner of its (band-expanded) zone,
-//      kBroadcast ships both sides verbatim to every peer — and deliver
-//      the remote buckets exactly-once over the exchange lane.
-//      Self-destined tuples stay local and cost no bus bytes.
-//   3. Collect: block until every other participant's stream is complete
-//      (all batches + EOS), bounded by the exchange deadline.
-//   4. Zone join: group the held tuples by owned zone and sort-merge join
+//      kBroadcast ships both sides verbatim to every peer — and hand the
+//      remote buckets to the exchange port, which sends them once and
+//      arms the epoch's bucket with the stage-2 continuation.  Stage 1
+//      then returns without replying.  Self-destined tuples stay local and
+//      cost no bus bytes.
+//
+// Stage 2 runs once the port settles the bucket: every other participant's
+// stream is complete (all batches + EOS) and every frame this server sent
+// is acked, or the shuffle deadline passed (kUnavailable).  It hops to the
+// pool (runs inline without one) and:
+//
+//   3. Zone join: groups the held tuples by owned zone and sort-merge joins
 //      each zone (pool fan-out, per-task ledgers merged with the
 //      work-stealing bound).  Pairs are emitted in the BUILD tuple's zone,
 //      so each pair materializes on exactly one server.
+//   4. Replies: caches the serialized answer for duplicates and sends it.
 //
 // Both strategies assemble identical per-zone candidate sets, so their
 // results are byte-identical — kBroadcast is the trivially-correct
@@ -25,6 +34,8 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "obj/type_dispatch.h"
@@ -45,7 +56,28 @@ struct ZoneInput {
   std::vector<rpc::JoinTuple> b;
 };
 
+/// Bound on cached join answers (FIFO).
+constexpr std::size_t kJoinCacheEntries = 32;
+
 }  // namespace
+
+/// One join epoch between its stages: what stage 1 hands to stage 2.
+struct QueryServer::PendingJoin {
+  PendingJoin(const JoinEvalRequest& r, rpc::Reply rep)
+      : request(r), reply(std::move(rep)) {}
+
+  JoinEvalRequest request;
+  rpc::Reply reply;
+  JoinEvalResponse response;  ///< candidates so far; the answer at the end
+  CostLedger ledger;
+  /// Self-destined tuples (stage 2 appends the remote ones).
+  std::vector<rpc::JoinTuple> have_a;
+  std::vector<rpc::JoinTuple> have_b;
+  /// Stage 1's "server.join_eval" span; stage 2 adds the shuffle args.
+  obs::SpanId join_span = 0;
+  /// When stage 1 handed the shipment to the port (exchange wait start).
+  std::uint64_t shipped_us = 0;
+};
 
 Status QueryServer::produce_join_candidates(
     ObjectId object_id, const ValueInterval& filter, Strategy eval_strategy,
@@ -96,98 +128,122 @@ Status QueryServer::produce_join_candidates(
   return Status::Ok();
 }
 
-JoinEvalResponse QueryServer::join_eval(const JoinEvalRequest& request,
-                                        const obs::TraceContext& trace) {
-  obs::ScopedSpan span(trace, "server.join_eval", actor_);
-  JoinEvalResponse response;
-  if (const Status s =
-          validate_join_params(request.epsilon, request.zone_height);
-      !s.ok()) {
-    response.status = s;
-    return response;
-  }
-  const std::vector<ServerId>& participants = request.participants;
-  if (std::find(participants.begin(), participants.end(), options_.id) ==
-      participants.end()) {
-    response.status = Status::InvalidArgument(
-        "server is not a participant of this join epoch");
-    return response;
-  }
-  const bool multi = participants.size() > 1;
-  if (multi && options_.exchange == nullptr) {
-    response.status = Status::FailedPrecondition(
-        "multi-server join on a deployment without an exchange port");
-    return response;
-  }
-
-  const CostModel& cost = store_.cluster().config().cost;
-  CostLedger ledger;
-  std::vector<ServerId> identities = request.act_as;
-  if (identities.empty()) identities.push_back(options_.id);
-
-  // --- 1. Candidate production. ---
-  std::vector<rpc::JoinTuple> local_a;
-  std::vector<rpc::JoinTuple> local_b;
-  Status s = produce_join_candidates(request.object_a, request.filter_a,
-                                     request.eval_strategy, identities,
-                                     request.zone_height, ledger, local_a,
-                                     span.context());
-  if (s.ok()) {
-    s = produce_join_candidates(request.object_b, request.filter_b,
-                                request.eval_strategy, identities,
-                                request.zone_height, ledger, local_b,
-                                span.context());
-  }
-  if (!s.ok()) {
-    response.status = s;
-    return response;
-  }
-  response.candidates_a = local_a.size();
-  response.candidates_b = local_b.size();
-
-  // --- 2. Partition into per-participant outboxes. ---
-  //
-  // kZoneShuffle: a build tuple goes to the owner of its zone; a probe
-  // tuple is duplicated into every zone of its epsilon band (its `zone`
-  // field carries the TARGET zone) and routed to that zone's owner.
-  // kBroadcast: both sides go verbatim to every participant; the receiver
-  // band-expands locally and keeps only its owned zones.
-  const std::size_t p = participants.size();
-  std::unordered_map<ServerId, std::size_t> slot;
-  for (std::size_t i = 0; i < p; ++i) slot.emplace(participants[i], i);
-  std::vector<std::vector<rpc::JoinTuple>> out_a(p);
-  std::vector<std::vector<rpc::JoinTuple>> out_b(p);
-  if (request.strategy == JoinStrategy::kZoneShuffle) {
-    for (const rpc::JoinTuple& t : local_a) {
-      out_a[slot.at(zone_owner(t.zone, participants))].push_back(t);
+void QueryServer::join_eval(const JoinEvalRequest& request,
+                            const obs::TraceContext& trace,
+                            rpc::Reply reply) {
+  const JoinKey key{request.join_id, request.epoch};
+  std::optional<std::vector<std::uint8_t>> cached;
+  bool duplicate = false;
+  {
+    std::lock_guard lock(join_cache_mu_);
+    for (const auto& [k, bytes] : join_cache_) {
+      if (k == key) cached = bytes;
     }
-    for (const rpc::JoinTuple& t : local_b) {
-      const auto [first, last] =
-          zone_band(t.value, request.epsilon, request.zone_height);
-      for (std::int64_t z = first; z <= last; ++z) {
-        out_b[slot.at(zone_owner(z, participants))].push_back(
-            {z, t.value, t.pos});
+    // A duplicate (bus duplication or client retry) of an epoch still in
+    // flight is dropped: the original's reply answers the stable request
+    // id, and re-running stage 1 would consume the bucket twice.
+    duplicate =
+        cached.has_value() || !joins_in_flight_.insert(key).second;
+  }
+  if (duplicate) {
+    if (join_duplicates_metric_ != nullptr) join_duplicates_metric_->add();
+    if (cached.has_value()) std::move(reply).send(std::move(*cached));
+    return;
+  }
+  if (join_requests_metric_ != nullptr) join_requests_metric_->add();
+  const auto join = std::make_shared<PendingJoin>(request, std::move(reply));
+  JoinEvalResponse& response = join->response;
+  const std::vector<ServerId>& participants = request.participants;
+  const bool multi = participants.size() > 1;
+  std::vector<rpc::OutboundFrame> frames;
+  {
+    obs::ScopedSpan span(trace, "server.join_eval", actor_);
+    join->join_span = span.id();
+    response.status = validate_join_params(request.epsilon,
+                                           request.zone_height);
+    if (response.status.ok() &&
+        std::find(participants.begin(), participants.end(), options_.id) ==
+            participants.end()) {
+      response.status = Status::InvalidArgument(
+          "server is not a participant of this join epoch");
+    }
+    if (response.status.ok() && multi && options_.exchange == nullptr) {
+      response.status = Status::FailedPrecondition(
+          "multi-server join on a deployment without an exchange port");
+    }
+    if (!response.status.ok()) {
+      reply_join(*join);
+      return;
+    }
+
+    const CostModel& cost = store_.cluster().config().cost;
+    CostLedger& ledger = join->ledger;
+    std::vector<ServerId> identities = request.act_as;
+    if (identities.empty()) identities.push_back(options_.id);
+
+    // --- 1. Candidate production. ---
+    std::vector<rpc::JoinTuple> local_a;
+    std::vector<rpc::JoinTuple> local_b;
+    Status s = produce_join_candidates(request.object_a, request.filter_a,
+                                       request.eval_strategy, identities,
+                                       request.zone_height, ledger, local_a,
+                                       span.context());
+    if (s.ok()) {
+      s = produce_join_candidates(request.object_b, request.filter_b,
+                                  request.eval_strategy, identities,
+                                  request.zone_height, ledger, local_b,
+                                  span.context());
+    }
+    if (!s.ok()) {
+      response.status = s;
+      reply_join(*join);
+      return;
+    }
+    response.candidates_a = local_a.size();
+    response.candidates_b = local_b.size();
+    span.arg("candidates_a", static_cast<double>(response.candidates_a));
+    span.arg("candidates_b", static_cast<double>(response.candidates_b));
+
+    // --- 2. Partition into per-participant outboxes. ---
+    //
+    // kZoneShuffle: a build tuple goes to the owner of its zone; a probe
+    // tuple is duplicated into every zone of its epsilon band (its `zone`
+    // field carries the TARGET zone) and routed to that zone's owner.
+    // kBroadcast: both sides go verbatim to every participant; the
+    // receiver band-expands locally and keeps only its owned zones.
+    const std::size_t p = participants.size();
+    std::unordered_map<ServerId, std::size_t> slot;
+    for (std::size_t i = 0; i < p; ++i) slot.emplace(participants[i], i);
+    std::vector<std::vector<rpc::JoinTuple>> out_a(p);
+    std::vector<std::vector<rpc::JoinTuple>> out_b(p);
+    if (request.strategy == JoinStrategy::kZoneShuffle) {
+      for (const rpc::JoinTuple& t : local_a) {
+        out_a[slot.at(zone_owner(t.zone, participants))].push_back(t);
+      }
+      for (const rpc::JoinTuple& t : local_b) {
+        const auto [first, last] =
+            zone_band(t.value, request.epsilon, request.zone_height);
+        for (std::int64_t z = first; z <= last; ++z) {
+          out_b[slot.at(zone_owner(z, participants))].push_back(
+              {z, t.value, t.pos});
+        }
+      }
+    } else {
+      for (std::size_t i = 0; i < p; ++i) {
+        out_a[i] = local_a;
+        out_b[i] = local_b;
       }
     }
-  } else {
+    std::uint64_t moved = 0;
     for (std::size_t i = 0; i < p; ++i) {
-      out_a[i] = local_a;
-      out_b[i] = local_b;
+      moved += (out_a[i].size() + out_b[i].size()) * sizeof(rpc::JoinTuple);
     }
-  }
-  std::uint64_t moved = 0;
-  for (std::size_t i = 0; i < p; ++i) {
-    moved += (out_a[i].size() + out_b[i].size()) * sizeof(rpc::JoinTuple);
-  }
-  ledger.add_cpu(static_cast<double>(moved) / cost.memcpy_bandwidth_bps,
-                 CpuStage::kMerge);
+    ledger.add_cpu(static_cast<double>(moved) / cost.memcpy_bandwidth_bps,
+                   CpuStage::kMerge);
 
-  // --- Ship the remote buckets (exactly-once), then collect. ---
-  const std::size_t self_slot = slot.at(options_.id);
-  rpc::ShuffleStats stats;
-  if (multi) {
-    std::vector<rpc::OutboundFrame> frames;
-    for (std::size_t i = 0; i < p; ++i) {
+    // --- Frame the remote buckets for the exactly-once shipment. ---
+    const std::size_t self_slot = slot.at(options_.id);
+    for (std::size_t i = 0; multi && i < p; ++i) {
       if (i == self_slot) continue;
       std::uint32_t seq = 0;
       const auto batch_side = [&](const std::vector<rpc::JoinTuple>& tuples,
@@ -218,40 +274,87 @@ JoinEvalResponse QueryServer::join_eval(const JoinEvalRequest& request,
       eos.batches_total = seq;
       frames.push_back({participants[i], eos.seq, eos.serialize()});
     }
-    const bool shipped = options_.exchange->ship(request.join_id,
-                                                 request.epoch, frames, stats);
+    join->have_a = std::move(out_a[self_slot]);
+    join->have_b = std::move(out_b[self_slot]);
+  }
+  if (!multi) {
+    rpc::ShuffleOutcome local;
+    local.complete = true;
+    finish_join(*join, std::move(local));
+    return;
+  }
+  join->shipped_us = obs::now_us();
+  options_.exchange->start(
+      request.join_id, request.epoch, participants, std::move(frames),
+      [this, join](rpc::ShuffleOutcome outcome) {
+        continue_join(join, std::move(outcome));
+      });
+}
+
+void QueryServer::continue_join(std::shared_ptr<PendingJoin> join,
+                                rpc::ShuffleOutcome outcome) {
+  if (options_.pool == nullptr) {
+    finish_join(*join, std::move(outcome));
+    return;
+  }
+  options_.pool->submit(
+      [this, join = std::move(join), outcome = std::move(outcome)]() mutable {
+        finish_join(*join, std::move(outcome));
+      });
+}
+
+void QueryServer::finish_join(PendingJoin& join, rpc::ShuffleOutcome outcome) {
+  const obs::TraceContext root = join.reply.trace();
+  const bool multi = join.request.participants.size() > 1;
+  if (root.enabled() && multi) {
+    // The exchange wait: from the shipment to this continuation's start.
+    obs::Span wait;
+    wait.id = obs::next_id();
+    wait.parent = root.parent;
+    wait.start_us = join.shipped_us;
+    wait.end_us = std::max(obs::now_us(), join.shipped_us);
+    wait.name = "server.exchange_wait";
+    wait.actor = actor_;
+    root.tracer->record(std::move(wait));
+  }
+  obs::ScopedSpan span(root, "server.join_merge", actor_);
+  const JoinEvalRequest& request = join.request;
+  JoinEvalResponse& response = join.response;
+  const rpc::ShuffleStats& stats = outcome.stats;
+  if (multi) {
     response.shuffle_bytes_sent = stats.bytes_sent;
     response.shuffle_msgs_sent = stats.msgs_sent;
     response.shuffle_retransmits = stats.retransmits;
     response.shuffle_rounds = 1;
-    if (!shipped) {
-      options_.exchange->forget(request.join_id);
-      response.status =
-          Status::Unavailable("join shuffle was not acknowledged in time");
-      return response;
-    }
   }
-
-  std::vector<rpc::JoinTuple> have_a = std::move(out_a[self_slot]);
-  std::vector<rpc::JoinTuple> have_b = std::move(out_b[self_slot]);
-  if (multi) {
-    auto collected = options_.exchange->collect(request.join_id,
-                                                request.epoch, participants);
-    if (!collected.has_value()) {
-      options_.exchange->forget(request.join_id);
-      response.status =
-          Status::Unavailable("join shuffle collect timed out");
-      return response;
-    }
-    have_a.insert(have_a.end(), collected->a.begin(), collected->a.end());
-    have_b.insert(have_b.end(), collected->b.begin(), collected->b.end());
+  if (root.enabled()) {
+    root.tracer->add_arg(join.join_span, "shuffle_bytes",
+                         static_cast<double>(stats.bytes_sent));
+    root.tracer->add_arg(join.join_span, "shuffle_msgs",
+                         static_cast<double>(stats.msgs_sent));
+    root.tracer->add_arg(join.join_span, "retransmits",
+                         static_cast<double>(stats.retransmits));
   }
+  if (!outcome.complete) {
+    response.status = Status::Unavailable(
+        "join shuffle did not complete before its deadline");
+    span.close();
+    reply_join(join);
+    return;
+  }
+  std::vector<rpc::JoinTuple>& have_a = join.have_a;
+  std::vector<rpc::JoinTuple>& have_b = join.have_b;
+  have_a.insert(have_a.end(), outcome.tuples.a.begin(),
+                outcome.tuples.a.end());
+  have_b.insert(have_b.end(), outcome.tuples.b.begin(),
+                outcome.tuples.b.end());
 
-  // --- 4. Group the held tuples by owned zone and join each zone. ---
+  // --- 3. Group the held tuples by owned zone and join each zone. ---
   //
   // Ownership is re-checked on every tuple: a mis-routed or stale frame can
   // only be dropped here, never double-counted.  Under kBroadcast we hold
   // the full global streams, so this filter IS the partitioning step.
+  const std::vector<ServerId>& participants = request.participants;
   std::map<std::int64_t, ZoneInput> zones;
   for (const rpc::JoinTuple& t : have_a) {
     if (zone_owner(t.zone, participants) != options_.id) continue;
@@ -273,6 +376,7 @@ JoinEvalResponse QueryServer::join_eval(const JoinEvalRequest& request,
     }
   }
 
+  const CostModel& cost = store_.cluster().config().cost;
   std::vector<std::int64_t> zone_ids;
   std::vector<ZoneInput*> inputs;
   zone_ids.reserve(zones.size());
@@ -296,8 +400,8 @@ JoinEvalResponse QueryServer::join_eval(const JoinEvalRequest& request,
             cost.memcpy_bandwidth_bps,
         CpuStage::kMerge);
   });
-  ledger.merge_parallel(task_ledgers,
-                        options_.pool != nullptr ? options_.pool->size() : 1);
+  join.ledger.merge_parallel(
+      task_ledgers, options_.pool != nullptr ? options_.pool->size() : 1);
 
   std::uint64_t total_pairs = 0;
   for (std::size_t i = 0; i < zone_ids.size(); ++i) {
@@ -307,20 +411,34 @@ JoinEvalResponse QueryServer::join_eval(const JoinEvalRequest& request,
     total_pairs += pair_lists[i].size();
     response.zones.push_back({zone_ids[i], std::move(pair_lists[i])});
   }
-  response.ledger = LedgerSummary::from(ledger);
+  response.ledger = LedgerSummary::from(join.ledger);
   response.status = Status::Ok();
-  if (multi) options_.exchange->forget(request.join_id);
-  if (trace.enabled()) {
-    span.arg("candidates_a", static_cast<double>(response.candidates_a));
-    span.arg("candidates_b", static_cast<double>(response.candidates_b));
-    span.arg("zones", static_cast<double>(response.zones.size()));
-    span.arg("pairs", static_cast<double>(total_pairs));
-    span.arg("shuffle_bytes", static_cast<double>(stats.bytes_sent));
-    span.arg("shuffle_msgs", static_cast<double>(stats.msgs_sent));
-    span.arg("retransmits", static_cast<double>(stats.retransmits));
-    span.arg("elapsed_s", response.ledger.elapsed());
+  if (root.enabled()) {
+    root.tracer->add_arg(join.join_span, "zones",
+                         static_cast<double>(response.zones.size()));
+    root.tracer->add_arg(join.join_span, "pairs",
+                         static_cast<double>(total_pairs));
+    root.tracer->add_arg(join.join_span, "elapsed_s",
+                         response.ledger.elapsed());
   }
-  return response;
+  span.close();
+  reply_join(join);
+}
+
+void QueryServer::reply_join(PendingJoin& join) {
+  std::vector<std::uint8_t> bytes = join.response.serialize();
+  {
+    std::lock_guard lock(join_cache_mu_);
+    const JoinKey key{join.request.join_id, join.request.epoch};
+    if (join_cache_.size() >= kJoinCacheEntries) {
+      join_cache_.erase(join_cache_.begin());
+    }
+    join_cache_.emplace_back(key, bytes);
+    joins_in_flight_.erase(key);
+  }
+  // Last touch of the PendingJoin's Reply: once sent, the runtime (and
+  // then this server) may be torn down.
+  std::move(join.reply).send(std::move(bytes));
 }
 
 }  // namespace pdc::server

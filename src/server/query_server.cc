@@ -26,7 +26,25 @@ double delta_value(PdcType type, std::span<const std::uint8_t> bytes) {
 
 }  // namespace
 
-std::vector<std::uint8_t> QueryServer::handle(
+void QueryServer::handle(std::span<const std::uint8_t> payload,
+                         const obs::TraceContext& trace, rpc::Reply reply) {
+  const auto type = peek_request_type(payload);
+  if (type.ok() && *type == RequestType::kJoinEval) {
+    SerialReader reader(payload);
+    auto request = JoinEvalRequest::Deserialize(reader);
+    if (request.ok()) {
+      join_eval(*request, trace, std::move(reply));
+      return;
+    }
+    JoinEvalResponse resp;
+    resp.status = request.status();
+    std::move(reply).send(resp.serialize());
+    return;
+  }
+  std::move(reply).send(respond(payload, trace));
+}
+
+std::vector<std::uint8_t> QueryServer::respond(
     std::span<const std::uint8_t> payload, const obs::TraceContext& trace) {
   const auto type = peek_request_type(payload);
   if (!type.ok()) {
@@ -55,35 +73,6 @@ std::vector<std::uint8_t> QueryServer::handle(
       return resp.serialize();
     }
     return transfer_write(*request, trace).serialize();
-  }
-  if (*type == RequestType::kJoinEval) {
-    auto request = JoinEvalRequest::Deserialize(reader);
-    if (!request.ok()) {
-      JoinEvalResponse resp;
-      resp.status = request.status();
-      return resp.serialize();
-    }
-    // Exactly-once per (join_id, epoch): a duplicate (bus duplication or
-    // client retry) is answered from the cached bytes — the exchange state
-    // behind the original answer is gone, re-running would deadlock-wait.
-    const std::pair<std::uint64_t, std::uint32_t> key{request->join_id,
-                                                      request->epoch};
-    {
-      std::lock_guard lock(join_cache_mu_);
-      for (const auto& [k, bytes] : join_cache_) {
-        if (k == key) return bytes;
-      }
-    }
-    std::vector<std::uint8_t> bytes = join_eval(*request, trace).serialize();
-    {
-      constexpr std::size_t kJoinCacheEntries = 32;
-      std::lock_guard lock(join_cache_mu_);
-      if (join_cache_.size() >= kJoinCacheEntries) {
-        join_cache_.erase(join_cache_.begin());
-      }
-      join_cache_.emplace_back(key, bytes);
-    }
-    return bytes;
   }
   if (*type == RequestType::kMetaQuery) {
     auto request = MetaQueryRequest::Deserialize(reader);
@@ -240,6 +229,9 @@ void QueryServer::register_metrics() {
   read_ops_metric_ = &options_.metrics->counter(actor_ + ".read_ops");
   eval_latency_metric_ =
       &options_.metrics->histogram(actor_ + ".eval_seconds");
+  join_requests_metric_ = &options_.metrics->counter(actor_ + ".join_requests");
+  join_duplicates_metric_ =
+      &options_.metrics->counter(actor_ + ".join_duplicates");
   if (options_.meta_shard != nullptr) {
     meta_query_requests_metric_ =
         &options_.metrics->counter(actor_ + ".meta_query_requests");

@@ -26,7 +26,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -39,6 +41,7 @@
 #include "obs/trace.h"
 #include "pfs/read_aggregator.h"
 #include "rpc/exchange.h"
+#include "rpc/server_runtime.h"
 #include "server/region_cache.h"
 #include "server/region_pipeline.h"
 #include "server/wire.h"
@@ -107,11 +110,13 @@ class QueryServer {
     register_metrics();
   }
 
-  /// RPC entry point: dispatch on request type, return serialized response.
+  /// RPC entry point: dispatch on request type and answer through `reply`.
+  /// Every request type answers before handle() returns except kJoinEval,
+  /// whose reply a continuation sends once the epoch's shuffle settles.
   /// An enabled `trace` (the runtime's "server.handle" context) makes the
   /// evaluation emit per-phase and per-region spans into it.
-  std::vector<std::uint8_t> handle(std::span<const std::uint8_t> payload,
-                                   const obs::TraceContext& trace = {});
+  void handle(std::span<const std::uint8_t> payload,
+              const obs::TraceContext& trace, rpc::Reply reply);
 
   EvalResponse eval(const EvalRequest& request,
                     const obs::TraceContext& trace = {});
@@ -126,14 +131,19 @@ class QueryServer {
   /// kMetrics RPC: snapshot of the deployment registry (error status when
   /// the server was built without one).
   [[nodiscard]] MetricsResponse metrics_snapshot() const;
-  /// kJoinEval: one epoch of a cross-object zone join — produce candidate
-  /// tuples for this server's identities, shuffle them over the exchange
-  /// lane per the request's strategy, sort-merge join the owned zones.
-  /// Blocks (bounded by the exchange deadline) until every other
-  /// participant's stream arrived; kUnavailable on expiry.  Implemented in
-  /// join_eval.cc.
-  JoinEvalResponse join_eval(const JoinEvalRequest& request,
-                             const obs::TraceContext& trace = {});
+  /// kJoinEval: one epoch of a cross-object zone join, in two stages that
+  /// never wait on another server.  Stage 1 (this call) produces candidate
+  /// tuples for this server's identities, partitions them per the
+  /// request's strategy and starts the exchange shuffle, then returns.
+  /// Stage 2, a continuation the exchange port schedules once the epoch's
+  /// bucket settles, sort-merge joins the owned zones (fanned over the
+  /// pool) and answers `reply` — kUnavailable when the shuffle deadline
+  /// passed.  A one-participant join runs stage 2 inline.  Exactly once
+  /// per (join_id, epoch): a duplicate of an epoch still in flight is
+  /// dropped (the original's reply answers the stable request id), one of
+  /// a finished epoch gets the cached bytes.  Implemented in join_eval.cc.
+  void join_eval(const JoinEvalRequest& request,
+                 const obs::TraceContext& trace, rpc::Reply reply);
   /// kMetaQuery: evaluate metadata conjuncts over this server's vnode
   /// partition (FailedPrecondition without a shard, or when a listed vnode
   /// is not replicated here — never a silently truncated posting list).
@@ -148,6 +158,22 @@ class QueryServer {
   [[nodiscard]] ServerId id() const noexcept { return options_.id; }
 
  private:
+  /// One join epoch between its stages (join_eval.cc).
+  struct PendingJoin;
+
+  /// handle() for every request type but kJoinEval: the serialized answer.
+  std::vector<std::uint8_t> respond(std::span<const std::uint8_t> payload,
+                                    const obs::TraceContext& trace);
+
+  /// Stage 2 entry, on the thread that settled the shuffle: hop to the
+  /// pool (inline without one) and finish the join there.
+  void continue_join(std::shared_ptr<PendingJoin> join,
+                     rpc::ShuffleOutcome outcome);
+  /// Stage 2: zone-group the held tuples, merge-join each owned zone, reply.
+  void finish_join(PendingJoin& join, rpc::ShuffleOutcome outcome);
+  /// Cache the epoch's answer, retire it from the in-flight set, send it.
+  void reply_join(PendingJoin& join);
+
   /// Evaluate one AND-term while acting as server `identity` (normally our
   /// own id; a dead server's id in degraded mode); appends that identity's
   /// matching original-space positions (ascending) and, for sorted
@@ -204,6 +230,10 @@ class QueryServer {
   obs::Counter* write_bytes_metric_ = nullptr;
   obs::Counter* compactions_metric_ = nullptr;
   obs::Counter* replica_rebuilds_metric_ = nullptr;
+  /// kJoinEval epochs whose stage 1 ran, and duplicates answered from the
+  /// cache or dropped while their epoch was in flight.
+  obs::Counter* join_requests_metric_ = nullptr;
+  obs::Counter* join_duplicates_metric_ = nullptr;
   obs::Counter* meta_query_requests_metric_ = nullptr;
   obs::Counter* meta_update_requests_metric_ = nullptr;
   obs::Counter* meta_probes_metric_ = nullptr;
@@ -214,11 +244,13 @@ class QueryServer {
   /// Serialized kJoinEval responses by (join_id, epoch), bounded FIFO.  A
   /// bus-duplicated or client-retried join request for an epoch this server
   /// already answered must get the SAME bytes without re-running the
-  /// shuffle (whose exchange state was dropped with the first answer).
+  /// shuffle (whose exchange bucket settled with the first answer).
+  using JoinKey = std::pair<std::uint64_t, std::uint32_t>;
   std::mutex join_cache_mu_;
-  std::vector<std::pair<std::pair<std::uint64_t, std::uint32_t>,
-                        std::vector<std::uint8_t>>>
-      join_cache_;
+  std::vector<std::pair<JoinKey, std::vector<std::uint8_t>>> join_cache_;
+  /// Epochs between stage 1 and their reply (guarded by join_cache_mu_):
+  /// re-running stage 1 for a duplicate would consume the bucket twice.
+  std::set<JoinKey> joins_in_flight_;
   /// The composable evaluation engine; holds references to the caches and
   /// options above (declared last so they are initialized first).
   RegionPipeline pipeline_;

@@ -9,6 +9,7 @@
 #include <iomanip>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <tuple>
 
 #include "obj/object_store.h"
@@ -227,6 +228,72 @@ std::vector<query::JoinPair> join_oracle(const JoinCase& c) {
   return pairs;
 }
 
+namespace {
+
+/// Concurrent mode: `inflight` joins at once on one 4-server service of
+/// pool width `width`; each must equal `want` without an epoch re-run.
+std::optional<Mismatch> run_concurrent_joins(
+    const JoinEnv& env, const JoinCase& c,
+    const std::vector<query::JoinPair>& want, std::uint32_t width,
+    std::uint32_t inflight) {
+  std::ostringstream path;
+  path << "concurrent/joins=" << inflight << "/servers=4/threads=" << width;
+  query::ServiceOptions service_options;
+  service_options.num_servers = 4;
+  service_options.eval_threads = width;
+  query::QueryService service(*env.store, service_options);
+  std::vector<std::optional<Result<query::JoinResult>>> got(inflight);
+  std::vector<std::thread> clients;
+  for (std::uint32_t i = 0; i < inflight; ++i) {
+    clients.emplace_back([&, i] {
+      query::JoinSpec spec;
+      spec.left = env.left;
+      spec.right = env.right;
+      spec.epsilon = c.epsilon;
+      spec.zone_height = c.zone_height;
+      spec.left_filter = c.filter_a;
+      spec.right_filter = c.filter_b;
+      spec.strategy = i % 2 == 0 ? server::JoinStrategy::kZoneShuffle
+                                 : server::JoinStrategy::kBroadcast;
+      got[i] = service.join(spec);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (std::uint32_t i = 0; i < inflight; ++i) {
+    const Result<query::JoinResult>& r = *got[i];
+    const std::string where = path.str() + "/join=" + std::to_string(i);
+    if (!r.ok()) {
+      return Mismatch{0, where,
+                      std::string("join failed: ") +
+                          std::string(status_code_name(r.status().code())) +
+                          ": " + r.status().message()};
+    }
+    if (!std::equal(r->pairs.begin(), r->pairs.end(), want.begin(),
+                    want.end(),
+                    [](const query::JoinPair& x, const query::JoinPair& y) {
+                      return x.left_pos == y.left_pos &&
+                             x.right_pos == y.right_pos;
+                    })) {
+      return Mismatch{0, where, pairs_summary(want, r->pairs)};
+    }
+  }
+  const auto metrics = service.scrape_metrics();
+  if (!metrics.ok()) {
+    return Mismatch{0, path.str(),
+                    "metrics scrape failed: " + metrics.status().ToString()};
+  }
+  const double reruns = metrics->value("client.join_epoch_reruns");
+  if (reruns != 0.0) {
+    return Mismatch{0, path.str(),
+                    std::to_string(static_cast<int>(reruns)) +
+                        " join epoch re-runs (every join must finish in "
+                        "epoch 1)"};
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 Result<std::optional<Mismatch>> run_join_case(const JoinCase& c,
                                               const JoinRunOptions& options) {
   // Invalid parameters are a harness bug (the generator only draws
@@ -284,6 +351,15 @@ Result<std::optional<Mismatch>> run_join_case(const JoinCase& c,
           return std::optional<Mismatch>(
               Mismatch{0, path.str(), pairs_summary(want, got->pairs)});
         }
+      }
+    }
+  }
+  if (!options.concurrent) return std::optional<Mismatch>();
+  for (const std::uint32_t width : {1u, 4u}) {
+    for (const std::uint32_t inflight : {2u, 4u}) {
+      if (auto mismatch = run_concurrent_joins(env, c, want, width, inflight);
+          mismatch.has_value()) {
+        return mismatch;
       }
     }
   }

@@ -100,6 +100,11 @@ struct JoinRunOptions {
   std::uint32_t eval_threads = 0;
   /// Scratch directory root; each case uses a fresh subdirectory.
   std::string temp_root = "/tmp/pdc_joincheck";
+  /// Concurrent mode: after the serial sweep, run 2 and then 4 joins at
+  /// once on one 4-server service (shuffle strategies alternating), at
+  /// pool widths 1 and 4.  Every join must return the oracle's (= the
+  /// serial run's) pairs in its first epoch.
+  bool concurrent = false;
 };
 
 /// Build the two-catalog environment for `c` and run the full sweep.

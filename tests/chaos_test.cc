@@ -714,6 +714,138 @@ TEST_F(JoinChaosTest, ServerDeathMidShuffleDegradesOrFailsClean) {
   }
 }
 
+// The asynchronous shuffle under loss with a pool: stage 1 runs as an
+// admitted pool task and stage 2 as a continuation the exchange port
+// schedules onto the pool.  Drops, duplicates and corruption on every lane
+// (requests, replies, shuffle frames and acks) still give the fault-free
+// pair list, at pool width 1 (every stage shares one worker) and 4.
+TEST_F(JoinChaosTest, LossyAsyncShuffleAtPoolWidths) {
+  query::ServiceOptions clean_options;
+  clean_options.num_servers = 4;
+  query::QueryService baseline(*store_, clean_options);
+  const auto want = baseline.join(join_spec());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  for (const std::uint32_t threads : {1u, 4u}) {
+    rpc::FaultPlan plan;
+    plan.seed = 99 + threads;
+    plan.drop_rate = 0.10;
+    plan.duplicate_rate = 0.15;
+    plan.corrupt_rate = 0.05;
+    rpc::FaultInjector injector(plan);
+    query::ServiceOptions faulty_options = clean_options;
+    faulty_options.eval_threads = threads;
+    faulty_options.fault_injector = &injector;
+    faulty_options.retry = tight_retry();
+    query::QueryService service(*store_, faulty_options);
+    for (const auto strategy : {server::JoinStrategy::kZoneShuffle,
+                                server::JoinStrategy::kBroadcast}) {
+      auto spec = join_spec();
+      spec.strategy = strategy;
+      const std::string label = std::string(server::join_strategy_name(
+                                    strategy)) +
+                                " threads=" + std::to_string(threads);
+      auto got = service.join(spec);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      expect_same_pairs(*got, *want, label);
+    }
+    EXPECT_GT(injector.counters().dropped + injector.counters().corrupted,
+              0u)
+        << "threads " << threads << ": plan injected nothing";
+  }
+}
+
+// A server killed mid-join while stages run on a pool: the exact answer
+// or a clean kUnavailable, then the exact answer once the death is seen.
+TEST_F(JoinChaosTest, ServerDeathMidAsyncShuffleAtPoolWidths) {
+  query::ServiceOptions clean_options;
+  clean_options.num_servers = 4;
+  query::QueryService baseline(*store_, clean_options);
+  const auto want = baseline.join(join_spec());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  for (const std::uint32_t threads : {1u, 4u}) {
+    for (const std::uint32_t after : {0u, 1u}) {
+      rpc::FaultPlan plan;
+      plan.server_faults.push_back({/*server=*/1, after,
+                                    rpc::ServerFate::kKilled});
+      rpc::FaultInjector injector(plan);
+      query::ServiceOptions faulty_options = clean_options;
+      faulty_options.eval_threads = threads;
+      faulty_options.fault_injector = &injector;
+      faulty_options.retry = tight_retry();
+      faulty_options.join_shuffle_deadline_ms = 50;
+      query::QueryService service(*store_, faulty_options);
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " after_requests=" + std::to_string(after);
+      auto got = service.join(join_spec());
+      if (got.ok()) {
+        expect_same_pairs(*got, *want, label);
+      } else {
+        EXPECT_EQ(got.status().code(), StatusCode::kUnavailable) << label;
+      }
+      for (int retries = 0; retries < 3; ++retries) {
+        auto again = service.join(join_spec());
+        ASSERT_TRUE(again.ok()) << label << " retry " << retries << ": "
+                                << again.status().ToString();
+        expect_same_pairs(*again, *want, label + " (retry)");
+        if (!service.dead_servers().empty()) break;
+      }
+      EXPECT_EQ(service.dead_servers(), (std::vector<ServerId>{1})) << label;
+    }
+  }
+}
+
+// Exactly once under client retries: with the shuffle parked (every
+// server-to-server frame delayed) the client's short attempt window
+// expires and it re-sends each kJoinEval while its epoch is still in
+// flight.  Each server runs stage 1 once and drops the duplicates; the
+// original replies answer the stable request ids, in epoch 1.
+TEST_F(JoinChaosTest, DuplicateJoinEvalInFlightAppliesOnce) {
+  query::ServiceOptions clean_options;
+  clean_options.num_servers = 4;
+  query::QueryService baseline(*store_, clean_options);
+  const auto want = baseline.join(join_spec());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  for (const std::uint32_t threads : {0u, 4u}) {
+    rpc::FaultPlan plan;
+    plan.delay_rate = 1.0;
+    plan.min_delay = std::chrono::milliseconds(80);
+    plan.max_delay = std::chrono::milliseconds(80);
+    plan.only_direction = rpc::Direction::kServerToServer;
+    rpc::FaultInjector injector(plan);
+    query::ServiceOptions options = clean_options;
+    options.eval_threads = threads;
+    options.fault_injector = &injector;
+    options.join_shuffle_deadline_ms = 5000;
+    options.retry.attempt_timeout = std::chrono::milliseconds(30);
+    options.retry.max_attempts = 40;
+    options.retry.backoff_base = std::chrono::milliseconds(1);
+    options.retry.backoff_cap = std::chrono::milliseconds(5);
+    query::QueryService service(*store_, options);
+
+    const std::string label = "threads=" + std::to_string(threads);
+    auto got = service.join(join_spec());
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+    expect_same_pairs(*got, *want, label);
+    EXPECT_GT(service.last_stats().retries, 0u)
+        << label << ": the client never re-sent a join request";
+    const auto metrics = service.scrape_metrics();
+    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+    double stage_one_runs = 0.0;
+    double duplicates = 0.0;
+    for (ServerId s = 0; s < 4; ++s) {
+      const std::string server = "server" + std::to_string(s);
+      stage_one_runs += metrics->value(server + ".join_requests");
+      duplicates += metrics->value(server + ".join_duplicates");
+    }
+    EXPECT_EQ(stage_one_runs, 4.0) << label;
+    EXPECT_GT(duplicates, 0.0) << label;
+    EXPECT_EQ(metrics->value("client.join_epoch_reruns"), 0.0) << label;
+  }
+}
+
 // Every server dead: join must fail fast with kUnavailable, not hang on
 // the shuffle deadline forever.
 TEST_F(JoinChaosTest, AllServersDeadJoinReturnsUnavailable) {

@@ -1,17 +1,27 @@
 // Cross-object epsilon join: zone math unit battery plus service-level
 // determinism — pairs must be byte-identical at any pool width, server
-// count and shuffle strategy, and equal to the nested-loop oracle.
+// count and shuffle strategy, and equal to the nested-loop oracle — and the
+// join's place among other requests: a join epoch waiting for its shuffle
+// holds no server thread, counts against admission, and a service torn
+// down mid-shuffle settles every pending epoch first.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "metadata/meta_store.h"
+#include "query/query.h"
 #include "query/service.h"
+#include "rpc/fault.h"
 #include "server/zone_join.h"
 #include "testing/joincheck.h"
 #include "workloads/boss.h"
@@ -303,6 +313,234 @@ TEST_F(JoinServiceTest, PlanTimeValidation) {
   s = spec(server::JoinStrategy::kZoneShuffle);
   s.right = 999999;
   EXPECT_EQ(service.join(s).status().code(), StatusCode::kNotFound);
+}
+
+// ------------------------------------------- join epochs off the mailbox
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+/// Delay every server-to-server frame by `delay`: a join epoch then stays
+/// parked in its shuffle for at least two delays (frames, then acks).
+rpc::FaultPlan parked_shuffle_plan(milliseconds delay) {
+  rpc::FaultPlan plan;
+  plan.delay_rate = 1.0;
+  plan.min_delay = delay;
+  plan.max_delay = delay;
+  plan.only_direction = rpc::Direction::kServerToServer;
+  return plan;
+}
+
+// Head of line: a join epoch parked in its shuffle holds no server thread.
+// A metadata query and a data query sent to the same servers meanwhile
+// return long before the join does, and all three answers stay exact.
+TEST_F(JoinServiceTest, MetadataAndSelectionDoNotQueueBehindParkedJoin) {
+  meta::MetaStore meta;
+  workloads::BossMetaConfig meta_config;
+  meta_config.num_objects = 2000;
+  meta_config.objects_per_cell = 250;
+  ASSERT_TRUE(workloads::generate_boss_metadata(meta, meta_config).ok());
+  const std::vector<meta::MetaCondition> plate = {
+      {"PLATE", QueryOp::kEQ, std::int64_t{3505},
+       meta::MetaMatchKind::kValue}};
+  const std::vector<ObjectId> want_meta = meta.query(plate);
+  ASSERT_FALSE(want_meta.empty());
+
+  rpc::FaultInjector injector(parked_shuffle_plan(milliseconds(250)));
+  query::ServiceOptions options;
+  options.num_servers = 4;
+  options.eval_threads = 4;
+  options.metadata = &meta;
+  options.fault_injector = &injector;
+  options.join_shuffle_deadline_ms = 10000;
+  options.retry.attempt_timeout = milliseconds(5000);
+  query::QueryService service(*store_, options);
+
+  const double median = [&] {
+    std::vector<double> a = oracle_case_.a;
+    std::nth_element(a.begin(), a.begin() + a.size() / 2, a.end());
+    return a[a.size() / 2];
+  }();
+  const auto selection = query::create(pair_.ra_a, QueryOp::kGT, median);
+  const auto want_selection = service.get_selection(selection);
+  ASSERT_TRUE(want_selection.ok()) << want_selection.status().ToString();
+
+  const auto t0 = Clock::now();
+  Clock::time_point join_done;
+  std::optional<Result<query::JoinResult>> joined;
+  std::thread joiner([&] {
+    joined = service.join(spec(server::JoinStrategy::kZoneShuffle));
+    join_done = Clock::now();
+  });
+  // Every server has run the join's first stage well within this; the
+  // epoch now waits for its delayed frames and acks.
+  std::this_thread::sleep_for(milliseconds(100));
+  const auto side_start = Clock::now();
+  const auto got_meta = service.meta_query(plate);
+  const auto got_selection = service.get_selection(selection);
+  const auto side_done = Clock::now();
+  joiner.join();
+
+  ASSERT_TRUE(got_meta.ok()) << got_meta.status().ToString();
+  EXPECT_EQ(*got_meta, want_meta);
+  ASSERT_TRUE(got_selection.ok()) << got_selection.status().ToString();
+  EXPECT_EQ(got_selection->positions, want_selection->positions);
+  ASSERT_TRUE(joined->ok()) << joined->status().ToString();
+  EXPECT_EQ(joined->value().pairs.size(),
+            testing::join_oracle(oracle_case_).size());
+  // The join waited out its parked shuffle (frames, then acks) ...
+  EXPECT_GE(join_done - t0, milliseconds(450));
+  // ... and the side requests did not wait for it.
+  EXPECT_LT(side_done - side_start, milliseconds(150));
+  EXPECT_LT(side_done + milliseconds(150), join_done);
+}
+
+// Lifetimes: a service destroyed while join epochs wait in their shuffle
+// (frames parked for far longer than the test) must settle every pending
+// epoch — its continuation answers kUnavailable into the closing bus —
+// before any server goes away, without waiting out the shuffle deadline.
+// At width 1 the four failed continuations queue on the single worker
+// while the runtimes wait for their replies; at width 0 they run on the
+// closing thread.  Run under ASan by tools/run_asan.sh.
+TEST_F(JoinServiceTest, DestroyMidShuffleSettlesPendingEpochs) {
+  for (const std::uint32_t threads : {0u, 1u, 4u}) {
+    rpc::FaultInjector injector(parked_shuffle_plan(milliseconds(2000)));
+    auto options = std::make_unique<query::ServiceOptions>();
+    options->num_servers = 4;
+    options->eval_threads = threads;
+    options->fault_injector = &injector;
+    options->join_shuffle_deadline_ms = 60000;
+    options->retry.attempt_timeout = milliseconds(100);
+    options->retry.max_attempts = 1;
+    auto service = std::make_unique<query::QueryService>(*store_, *options);
+    // Every server answers nothing within the attempt window, so the join
+    // gives up while all four epochs still wait for parked frames.
+    const auto result = service->join(spec(server::JoinStrategy::kZoneShuffle));
+    EXPECT_FALSE(result.ok()) << "threads=" << threads;
+    const auto t0 = Clock::now();
+    service.reset();
+    EXPECT_LT(Clock::now() - t0, milliseconds(1500)) << "threads=" << threads;
+  }
+}
+
+// The same teardown racing the shuffle's completion: frames parked for
+// about the client's attempt window, so when the join gives up and the
+// service goes away, epochs are completing and queueing their stage 2 on
+// the pool while the ports close.  Every interleaving must tear down
+// cleanly (ASan and TSan run this binary).
+TEST_F(JoinServiceTest, DestroyWhileEpochsSettle) {
+  for (const std::uint32_t threads : {1u, 4u}) {
+    for (const int delay_ms : {40, 55, 70}) {
+      rpc::FaultInjector injector(
+          parked_shuffle_plan(milliseconds(delay_ms)));
+      query::ServiceOptions options;
+      options.num_servers = 4;
+      options.eval_threads = threads;
+      options.fault_injector = &injector;
+      options.join_shuffle_deadline_ms = 60000;
+      options.retry.attempt_timeout = milliseconds(100);
+      options.retry.max_attempts = 1;
+      auto service = std::make_unique<query::QueryService>(*store_, options);
+      const auto result =
+          service->join(spec(server::JoinStrategy::kZoneShuffle));
+      if (result.ok()) {
+        EXPECT_EQ(result->pairs.size(),
+                  testing::join_oracle(oracle_case_).size());
+      }
+      service.reset();
+    }
+  }
+}
+
+// Admission: a join is an ordinary admitted request.  A burst of
+// concurrent joins against a queue limit of one is shed with a typed
+// kOverloaded — never a wrong pair list, never another error — while a
+// metadata tenant with four times the weighted-fair share keeps getting
+// exact answers beside it.
+TEST_F(JoinServiceTest, JoinsShedWithTypedOverloadBesideFairMetadata) {
+  meta::MetaStore meta;
+  workloads::BossMetaConfig meta_config;
+  meta_config.num_objects = 2000;
+  meta_config.objects_per_cell = 250;
+  ASSERT_TRUE(workloads::generate_boss_metadata(meta, meta_config).ok());
+  const std::vector<meta::MetaCondition> plate = {
+      {"PLATE", QueryOp::kEQ, std::int64_t{3505},
+       meta::MetaMatchKind::kValue}};
+  const std::vector<ObjectId> want_meta = meta.query(plate);
+
+  query::ServiceOptions options;
+  options.num_servers = 4;
+  options.eval_threads = 2;
+  options.max_inflight = 1;
+  options.queue_limit = 1;
+  options.tenant_weights = {1.0, 4.0};
+  options.metadata = &meta;
+  // One attempt: a shed request surfaces as kOverloaded at once.
+  options.retry.attempt_timeout = milliseconds(200);
+  options.retry.max_attempts = 1;
+  query::QueryService service(*store_, options);
+  const std::size_t want_pairs = testing::join_oracle(oracle_case_).size();
+
+  std::atomic<int> joins_ok{0};
+  std::atomic<int> joins_shed{0};
+  std::atomic<bool> go{false};
+  std::atomic<bool> flooding{true};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 12; ++c) {
+    clients.emplace_back([&, c] {
+      while (!go.load()) std::this_thread::yield();
+      query::QueryOptions opts;
+      opts.tenant = 0;
+      for (int j = 0; j < 3; ++j) {
+        const auto strategy = (c + j) % 2 == 0
+                                  ? server::JoinStrategy::kZoneShuffle
+                                  : server::JoinStrategy::kBroadcast;
+        const auto got = service.join(spec(strategy), opts);
+        if (got.ok()) {
+          EXPECT_EQ(got->pairs.size(), want_pairs);
+          ++joins_ok;
+        } else {
+          EXPECT_EQ(got.status().code(), StatusCode::kOverloaded)
+              << got.status().ToString();
+          ++joins_shed;
+        }
+      }
+    });
+  }
+  int meta_ok = 0;
+  int meta_calls = 0;
+  std::thread metadata_client([&] {
+    query::QueryOptions opts;
+    opts.tenant = 1;
+    while (!go.load()) std::this_thread::yield();
+    while (flooding.load()) {
+      const auto got = service.meta_query(plate, opts);
+      ++meta_calls;
+      if (got.ok()) {
+        EXPECT_EQ(*got, want_meta);
+        ++meta_ok;
+      } else {
+        EXPECT_EQ(got.status().code(), StatusCode::kOverloaded)
+            << got.status().ToString();
+      }
+    }
+  });
+  go = true;
+  for (std::thread& t : clients) t.join();
+  flooding = false;
+  metadata_client.join();
+
+  const std::string tally =
+      std::to_string(joins_ok.load()) + " joins answered, " +
+      std::to_string(joins_shed.load()) + " shed; " +
+      std::to_string(meta_ok) + " of " + std::to_string(meta_calls) +
+      " metadata queries answered";
+  EXPECT_GT(joins_shed.load(), 0) << tally;
+  EXPECT_GE(2 * meta_ok, meta_calls) << tally;
+  // Shedding left nothing behind: the next join gets its exact answer.
+  const auto after = service.join(spec(server::JoinStrategy::kZoneShuffle));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->pairs.size(), want_pairs);
 }
 
 // import_boss_join_pair rejects nonsense configurations.

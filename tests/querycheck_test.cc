@@ -624,6 +624,22 @@ TEST(JoinCheck, BothShuffleStrategiesAgreeWithOracle) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+// Concurrent mode: 2 and 4 joins in flight on one 4-server service, at
+// pool widths 1 and 4.  Join epochs share the pool and the exchange ports;
+// none may wait on another (a blocked epoch would miss its shuffle
+// deadline and re-run), and every join must return the serial pairs in
+// its first epoch.
+TEST(JoinCheck, ConcurrentJoinsMatchSerialInFirstEpoch) {
+  JoinRunOptions options;
+  options.temp_root = test_temp_root();
+  options.server_counts = {4};
+  options.eval_strategies = {server::Strategy::kHistogram};
+  options.concurrent = true;
+  const Status status =
+      run_joincheck(/*base_seed=*/101, /*num_cases=*/6, options);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 // Harness sanity: the oracle itself honors the exact inclusive predicate
 // and the skip-non-finite rule, and the two-catalog shrinker converges to
 // a minimal failing case.

@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <future>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -218,6 +220,53 @@ TEST(Envelope, CorruptionDetectedAtEveryByte) {
     std::span<const std::uint8_t> body;
     EXPECT_FALSE(envelope_unwrap(prefix, parsed, body)) << "cut " << cut;
   }
+}
+
+// The checksum covers every frame byte but itself: the header fields
+// (request id, attempt, tenant, flags, deadline, trace ids) included.  A
+// single flipped byte anywhere — the FaultInjector's 0xA5, a low bit, a
+// high bit — must lose the frame, never parse into a different header
+// (a flipped flags byte must not turn a reply into a shed).
+TEST(Envelope, EveryFlippedByteIsRejected) {
+  Envelope header;
+  header.request_id = 0x0102030405060708ull;
+  header.attempt = 2;
+  header.tenant = 1;
+  header.deadline_us = 123456789;
+  header.trace_id = 11;
+  header.parent_span = 12;
+  std::vector<std::uint8_t> payload;
+  std::size_t checked = 0;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const std::vector<std::uint8_t> baggage(len % 3 == 0 ? 0 : len % 7, 0x5C);
+    const auto frame = envelope_wrap(header, payload, baggage);
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      for (const std::uint8_t flip : {0xA5, 0x01, 0x80}) {
+        auto bad = frame;
+        bad[i] ^= flip;
+        Envelope parsed;
+        std::span<const std::uint8_t> body;
+        ASSERT_FALSE(envelope_unwrap(bad, parsed, body))
+            << "payload " << len << " byte " << i << " flip " << int{flip};
+        ++checked;
+      }
+    }
+    payload.push_back(static_cast<std::uint8_t>(len * 37 + 11));
+  }
+  EXPECT_GT(checked, 100000u);
+}
+
+// Pin the hash: the checksum is part of the wire format, so a change to it
+// must be deliberate.
+TEST(Envelope, ChecksumGoldenValues) {
+  std::vector<std::uint8_t> bytes(100);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  EXPECT_EQ(payload_checksum({}), 0x5281910C2E425911ull);
+  EXPECT_EQ(payload_checksum(bytes), 0x9222E124AD99D98Cull);
+  EXPECT_EQ(payload_checksum(std::span(bytes).first(13), 42),
+            0xC5E238091559B964ull);
 }
 
 TEST(ClientGather, RetriesRecoverFromDrops) {
@@ -560,6 +609,51 @@ TEST(ServerRuntime, SequentialRequestsProcessedInOrder) {
     EXPECT_EQ(result.responses[0]->payload[0], i);
   }
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// A deferred reply: the handler parks its Reply and returns, which frees
+// the request's only inflight slot at once — a second request is served
+// while the first is still unanswered — and the parked Reply, sent later
+// from another thread, answers the first request's id.
+TEST(ServerRuntime, DeferredReplyFreesSlotAndAnswersLater) {
+  MessageBus bus(1);
+  exec::ThreadPool pool(1);
+  ServerRuntimeOptions options;
+  options.pool = &pool;
+  options.max_inflight = 1;
+  std::mutex mu;
+  std::optional<Reply> parked;
+  ServerRuntime server(
+      bus, 0,
+      ServerRuntime::AsyncHandler([&](std::span<const std::uint8_t> req,
+                                      const obs::TraceContext&, Reply reply) {
+        if (req[0] == 'p') {
+          std::lock_guard lock(mu);
+          parked = std::move(reply);
+          return;
+        }
+        std::move(reply).send(bytes_of("served"));
+      }),
+      options);
+  Client client(bus);
+  auto parked_call = std::async(std::launch::async, [&] {
+    return client.gather({{0, bytes_of("park")}});
+  });
+  for (bool waiting = true; waiting; std::this_thread::yield()) {
+    std::lock_guard lock(mu);
+    waiting = !parked.has_value();
+  }
+  const auto served = client.gather({{0, bytes_of("serve")}});
+  ASSERT_TRUE(served.complete());
+  EXPECT_EQ(string_of(served.responses[0]->payload), "served");
+  std::thread([&] {
+    std::lock_guard lock(mu);
+    std::move(*parked).send(bytes_of("parked reply"));
+  }).join();
+  const auto answered = parked_call.get();
+  ASSERT_TRUE(answered.complete());
+  EXPECT_EQ(string_of(answered.responses[0]->payload), "parked reply");
+  EXPECT_EQ(answered.stats.retries, 0u);
 }
 
 TEST(ClientGather, RequestSpanEndsAtItsOwnReply) {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # AddressSanitizer + UndefinedBehaviorSanitizer job: rebuild the
-# serialization, storage and write-path test binaries with
+# serialization, storage, write-path and join-lifetime test binaries with
 # -fsanitize=address,undefined and run each one (common_test,
-# wire_roundtrip_test, rpc_test, obj_test, sortrep_test, write_path_test).
+# wire_roundtrip_test, rpc_test, obj_test, sortrep_test, write_path_test,
+# join_test, chaos_test).  join_test tears services down mid-shuffle and
+# while join continuations are queued; chaos_test kills servers mid-join.
 # The binaries run directly rather than through ctest: none of them is in
 # a shared label, and a direct run stops at the first failing binary.
 #
@@ -16,7 +18,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-asan
 TESTS=(common_test wire_roundtrip_test rpc_test obj_test sortrep_test
-       write_path_test)
+       write_path_test join_test chaos_test)
 cmake -B "${BUILD_DIR}" -S . -DPDC_SANITIZE=address-undefined >/dev/null
 cmake --build "${BUILD_DIR}" -j"$(nproc)" --target "${TESTS[@]}"
 
